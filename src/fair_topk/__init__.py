@@ -9,7 +9,7 @@ from .adjustment import (
     simulate_rejection_rate,
 )
 from .baselines import RepairedPool, feldman_repair, yang_stoyanovich_generate
-from .binomial import BinomialParams, cdf, minimum_counts, percent_point, pmf
+from .binomial import BinomialParams, cdf, minimum_counts, percent_point, pmf, table_plateau
 from .candidates import Candidate, CandidatePool, RankedSequence
 from .experiment import (
     DataLoadError,
@@ -49,13 +49,7 @@ from .ranker import (
     color_blind_topk,
     fair_topk,
 )
-from .store import (
-    cached_adjustment,
-    load_mtable,
-    mtable_path,
-    resolve_cache_dir,
-    save_mtable,
-)
+from .store import cached_adjustment, resolve_cache_dir
 
 __version__ = "0.1.0"
 
@@ -90,11 +84,9 @@ __all__ = [
     "fair_topk",
     "feldman_repair",
     "load_candidates",
-    "load_mtable",
     "load_ranking",
     "load_spec",
     "minimum_counts",
-    "mtable_path",
     "ndcg",
     "normalize_scores",
     "ordering_utility",
@@ -106,9 +98,9 @@ __all__ = [
     "resolve_cache_dir",
     "run_experiment",
     "save_candidates",
-    "save_mtable",
     "selection_utility",
     "simulate_rejection_rate",
+    "table_plateau",
     "verify_ranked_group_fairness",
     "yang_stoyanovich_generate",
 ]

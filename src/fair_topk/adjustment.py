@@ -2,20 +2,20 @@
 
 The k per-prefix binomial tests are positively dependent, so a target overall
 rejection probability alpha for fairly-generated rankings requires a smaller
-per-test significance alpha_adj.  The exact rejection probability is computed
-by a survival-vector recursion and alpha_adj is found by bisection.
+per-test significance alpha_adj.  The exact rejection probability of a table
+is computed by a survival-vector recursion, and calibration bisects over
+tables: every alpha_adj in a table's plateau builds that same table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .binomial import minimum_counts
-from .candidates import RankedSequence
-from .fairness import verify_ranked_group_fairness
+from .binomial import _check_args, minimum_counts, table_plateau
+from .fairness import compute_mtable, verify_ranked_group_fairness
 
 __all__ = [
     "AdjustmentResult",
@@ -25,18 +25,8 @@ __all__ = [
     "simulate_rejection_rate",
 ]
 
-SEARCH_FLOOR = 1e-10  # lower bracket of the bisection
-BRACKET_WIDTH = 1e-6  # bisection stops at this interval width
+SEARCH_FLOOR = 1e-10  # smallest alpha_adj the search evaluates
 FEASIBILITY_TOL = 1e-3  # max shortfall (target - achieved) still called feasible
-
-
-def _validate(k: int, p: float, alpha: float, name: str = "alpha_adj") -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in the open interval (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"{name} must lie in the open interval (0, 1)")
 
 
 def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
@@ -53,8 +43,11 @@ def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
     Positions after the last increment only shuffle mass between surviving
     counts, so the walk stops there.
     """
-    _validate(k, p, alpha_adj)
-    minima = minimum_counts(k, p, alpha_adj)
+    _check_args(k, p, alpha_adj, name="alpha_adj")
+    return _table_rejection(minimum_counts(k, p, alpha_adj), p)
+
+
+def _table_rejection(minima: np.ndarray, p: float) -> float:
     top = int(minima[-1])
     if top == 0:
         return 0.0
@@ -81,11 +74,13 @@ def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
 class AdjustmentResult:
     """Outcome of calibrating alpha_adj against a target overall alpha.
 
-    ``alpha_adj`` is always the largest per-test significance whose rejection
-    probability stays at or below the target (the conservative side).  When
-    the step structure of the test leaves a shortfall larger than
-    ``FEASIBILITY_TOL``, ``feasible`` is False and the conservative value is
-    still returned so callers can proceed with an under-rejecting test.
+    ``alpha_adj`` names the largest table whose rejection probability stays
+    at or below the target (the conservative side): it lies in that table's
+    plateau, so ``compute_mtable(k, p, alpha_adj)`` rebuilds exactly the
+    table whose rejection is ``achieved_rejection_prob``.  When the step
+    structure of the test leaves a shortfall larger than ``FEASIBILITY_TOL``,
+    ``feasible`` is False and the conservative value is still returned so
+    callers can proceed with an under-rejecting test.
     """
 
     k: int
@@ -101,50 +96,67 @@ class AdjustmentResult:
             raise ValueError("alpha_adj must lie in the open interval (0, 1)")
 
 
+def _shortest_inside(lower: float, upper: float) -> float:
+    """The float of the decimal with the fewest places in [lower, upper),
+    the one nearest the midpoint among equals; ``lower`` if there is none."""
+    middle = (lower + upper) / 2.0
+    for places in range(1, 18):
+        scaled = middle * 10**places
+        neighbours = (math.floor(scaled), math.ceil(scaled))
+        for digits in sorted(neighbours, key=lambda d: abs(d - scaled)):
+            value = float(f"{digits}e-{places}")
+            if lower <= value < upper:
+                return value
+    return lower
+
+
 def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResult:
-    """Bisect for the per-test significance meeting a target rejection rate.
+    """Find the largest table whose rejection probability meets a target.
 
     The rejection probability is monotone non-decreasing in alpha_adj (a
-    larger per-test significance only raises minimum counts), which is what
-    justifies bisection on (SEARCH_FLOOR, alpha_target].
+    larger per-test significance only raises minimum counts), so the tables
+    are searched by bisection on plateaus: a feasible table moves ``lo`` to
+    its plateau's upper end, an infeasible one moves ``hi`` to its lower end,
+    and the search stops when the two meet.  The returned alpha_adj is the
+    shortest decimal in the winning table's plateau.
     """
-    _validate(k, p, alpha_target, name="alpha_target")
+    _check_args(k, p, alpha_target, name="alpha_target")
     evaluations = 0
 
-    def rejection(a: float) -> float:
+    def evaluate(a: float):
         nonlocal evaluations
         evaluations += 1
-        return rejection_probability(k, p, a)
+        minima = minimum_counts(k, p, a)
+        return minima, _table_rejection(minima, p), table_plateau(minima, p)
 
-    hi = alpha_target
-    r_hi = rejection(hi)
+    def result(alpha_adj: float, rejection: float) -> AdjustmentResult:
+        return AdjustmentResult(
+            k, p, alpha_target, alpha_adj, rejection,
+            feasible=(alpha_target - rejection) <= FEASIBILITY_TOL,
+            search_iterations=evaluations,
+        )
+
+    _, r_hi, (hi, _) = evaluate(alpha_target)
     if r_hi <= alpha_target:
         # No correction needed (or possible): the target itself under-rejects.
-        return AdjustmentResult(
-            k, p, alpha_target, hi, r_hi,
-            feasible=(alpha_target - r_hi) <= FEASIBILITY_TOL,
-            search_iterations=evaluations,
-        )
+        return result(alpha_target, r_hi)
+    # The union bound (rejection <= k * alpha_adj) makes SEARCH_FLOOR feasible
+    # for any sane target; only a target below k * SEARCH_FLOOR needs the check.
+    if k * SEARCH_FLOOR > alpha_target:
+        r_floor = rejection_probability(k, p, SEARCH_FLOOR)
+        if r_floor > alpha_target:
+            return result(SEARCH_FLOOR, r_floor)
     lo = SEARCH_FLOOR
-    r_lo = rejection(lo)
-    if r_lo > alpha_target:
-        # Unreachable for sane targets: rejection <= k * alpha_adj = k * 1e-10.
-        return AdjustmentResult(
-            k, p, alpha_target, lo, r_lo, feasible=False,
-            search_iterations=evaluations,
-        )
-    while hi - lo > BRACKET_WIDTH:
-        mid = (lo + hi) / 2.0
-        r = rejection(mid)
+    while lo < hi:
+        minima, r, (lower, upper) = evaluate((lo + hi) / 2.0)
         if r <= alpha_target:
-            lo, r_lo = mid, r
+            best, r_lo, plateau, lo = minima, r, (lower, upper), upper
         else:
-            hi = mid
-    return AdjustmentResult(
-        k, p, alpha_target, lo, r_lo,
-        feasible=(alpha_target - r_lo) <= FEASIBILITY_TOL,
-        search_iterations=evaluations,
-    )
+            hi = lower
+    alpha_adj = _shortest_inside(max(plateau[0], SEARCH_FLOOR), plateau[1])
+    if not np.array_equal(compute_mtable(k, p, alpha_adj).minima, best):
+        raise RuntimeError(f"alpha_adj={alpha_adj!r} does not rebuild the calibrated table")
+    return result(alpha_adj, r_lo)
 
 
 @dataclass(frozen=True)
@@ -171,7 +183,7 @@ def simulate_rejection_rate(
     """
     from .baselines import yang_stoyanovich_generate  # local: avoid module cycle
 
-    _validate(k, p_generator, alpha_adj)
+    _check_args(k, p_generator, alpha_adj, name="alpha_adj")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)

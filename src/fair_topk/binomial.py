@@ -18,10 +18,12 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["BinomialParams", "pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts"]
+__all__ = [
+    "BinomialParams", "pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts", "table_plateau"
+]
 
-# Incremental recurrences (minimum_counts) shed accumulated rounding by
-# recomputing from the mode-seeded vector every this many trials.
+# Carried recurrences (_Walk) shed accumulated rounding by recomputing from
+# the mode-seeded vector every this many trials.
 _REFRESH_EVERY = 256
 # Comparisons against alpha closer than this are re-decided with the
 # compensated-summation cdf so recurrence drift cannot flip them.
@@ -113,48 +115,112 @@ def percent_point(alpha: float, params: BinomialParams) -> int:
     return x
 
 
-def minimum_counts(k: int, p: float, alpha: float) -> np.ndarray:
-    """percent_point(alpha, (i, p)) for every prefix length i = 1..k, in O(k).
+class _Walk:
+    """F(c; i, p) and Pr(X = c; i, p), carried while the trial count i and the
+    count c each grow by one, with the one-step identities
 
-    Carries F(m; i, p) and Pr(X = m; i, p) across trial counts with the
-    one-step identities
-
-        F(m; i, p)   = F(m; i-1, p) - p * pmf(m; i-1, p)
-        pmf(m; i, p) = pmf(m; i-1, p) * (1-p) * i / (i - m)
-
-    and bumps m while the carried cdf is <= alpha.  Positions where the
-    comparison is within ``_BOUNDARY_EPS`` of alpha are re-decided exactly,
-    and the carried pair is refreshed from scratch periodically, so the
-    result matches per-position percent_point calls bit-for-bit.
+        F(c; i, p)     = F(c; i-1, p) - p * pmf(c; i-1, p)
+        pmf(c; i, p)   = pmf(c; i-1, p) * (1-p) * i / (i - c)
+        pmf(c+1; i, p) = pmf(c; i, p) * (i - c) / (c + 1) * p / (1-p)
+        F(c+1; i, p)   = F(c; i, p) + pmf(c+1; i, p)
     """
+
+    __slots__ = ("p", "q", "odds", "i", "c", "cdf", "pmf")
+
+    def __init__(self, p: float):
+        self.p, self.q = p, 1.0 - p
+        self.odds = p / self.q
+        self.i = self.c = 0
+        self.cdf = self.pmf = 1.0  # Bin(0, p) puts all its mass on 0
+
+    def next_trial(self) -> None:
+        if self.i and self.i % _REFRESH_EVERY == 0:
+            self.exact()
+        self.i += 1
+        self.cdf -= self.p * self.pmf
+        self.pmf *= self.q * self.i / (self.i - self.c)
+
+    def next_count(self) -> None:
+        self.c += 1
+        self.pmf *= (self.i - self.c + 1) / self.c * self.odds
+        self.cdf += self.pmf
+
+    def exact(self) -> None:
+        params = BinomialParams(self.i, self.p)
+        self.cdf, self.pmf = cdf(self.c, params), pmf(self.c, params)
+
+    def exact_near(self, alpha: float) -> None:
+        if abs(self.cdf - alpha) < _BOUNDARY_EPS:
+            self.exact()
+
+
+def _check_args(k: int, p: float, alpha: float, name: str = "alpha") -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in the open interval (0, 1)")
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in the open interval (0, 1)")
-    q = 1.0 - p
-    odds = p / q
+        raise ValueError(f"{name} must lie in the open interval (0, 1)")
+
+
+def minimum_counts(k: int, p: float, alpha: float) -> np.ndarray:
+    """percent_point(alpha, (i, p)) for every prefix length i = 1..k, in O(k).
+
+    Walks the trial count, bumping the count while the carried cdf is
+    <= alpha.  Comparisons within ``_BOUNDARY_EPS`` of alpha are re-decided
+    exactly, so the result matches per-position percent_point calls
+    bit-for-bit.
+    """
+    _check_args(k, p, alpha)
+    walk = _Walk(p)
     out = np.empty(k, dtype=np.int64)
-    m = 0
-    pmf_m = 1.0  # Pr(X = m) at the current trial count
-    cdf_m = 1.0  # F(m) at the current trial count
-    for i in range(1, k + 1):
-        cdf_m -= p * pmf_m
-        pmf_m *= q * i / (i - m)
-        if abs(cdf_m - alpha) < _BOUNDARY_EPS:
-            params = BinomialParams(i, p)
-            cdf_m, pmf_m = cdf(m, params), pmf(m, params)
-        while cdf_m <= alpha:
-            m += 1
-            pmf_m *= (i - m + 1) / m * odds
-            cdf_m += pmf_m
-            if abs(cdf_m - alpha) < _BOUNDARY_EPS:
-                params = BinomialParams(i, p)
-                cdf_m, pmf_m = cdf(m, params), pmf(m, params)
-        out[i - 1] = m
-        if i % _REFRESH_EVERY == 0:
-            params = BinomialParams(i, p)
-            cdf_m, pmf_m = cdf(m, params), pmf(m, params)
+    for i in range(k):
+        walk.next_trial()
+        walk.exact_near(alpha)
+        while walk.cdf <= alpha:
+            walk.next_count()
+            walk.exact_near(alpha)
+        out[i] = walk.c
     out.setflags(write=False)
     return out
+
+
+def _carried_along(counts, p: float):
+    """(F(c_i; i, p), Pr(X = c_i; i, p)) for i = 1..k along a count path.
+
+    ``counts[i-1]`` is the count at trial i; it starts at 0 or 1 and grows by
+    0 or 1 per trial, like a prefix count of protected flags or a table of
+    minimum counts.  O(k).
+    """
+    walk = _Walk(p)
+    cdfs, pmfs = np.empty(len(counts)), np.empty(len(counts))
+    for i, c in enumerate(np.asarray(counts).tolist()):
+        walk.next_trial()
+        if c > walk.c:
+            walk.next_count()
+        cdfs[i], pmfs[i] = walk.cdf, walk.pmf
+    return cdfs, pmfs
+
+
+def table_plateau(minima, p: float) -> tuple:
+    """The half-open range [lower, upper) of alpha with minimum_counts(k, p, alpha) == minima.
+
+    A table m holds exactly for max_i F(m(i)-1; i, p) <= alpha <
+    min_i F(m(i); i, p), with F(-1) = 0.  Both ends come from one walk along
+    m; every position whose carried value is within ``_BOUNDARY_EPS`` of an
+    end is re-decided with the exact cdf, so the range is the one
+    minimum_counts decides by.
+    """
+    minima = np.asarray(minima)
+    upper, pmfs = _carried_along(minima, p)
+    lower = np.where(minima > 0, upper - pmfs, 0.0)
+
+    def exact(i: int, x: int) -> float:
+        return cdf(int(x), BinomialParams(i + 1, p)) if x >= 0 else 0.0
+
+    near_upper = np.flatnonzero(upper < upper.min() + _BOUNDARY_EPS)
+    near_lower = np.flatnonzero(lower > lower.max() - _BOUNDARY_EPS)
+    return (
+        max(exact(i, minima[i] - 1) for i in near_lower),
+        min(exact(i, minima[i]) for i in near_upper),
+    )

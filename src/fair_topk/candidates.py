@@ -49,6 +49,15 @@ class _Columns:
         for col in (self.ids, self.scores, self.protected):
             col.setflags(write=False)
 
+    @classmethod
+    def from_candidates(cls, candidates: Iterable[tuple]):
+        rows = [Candidate(c[0], float(c[1]), bool(c[2])) for c in candidates]
+        return cls(
+            np.array([r.id for r in rows], dtype=object),
+            np.array([r.score for r in rows], dtype=np.float64),
+            np.array([r.protected for r in rows], dtype=bool),
+        )
+
     def __len__(self) -> int:
         return int(self.ids.shape[0])
 
@@ -76,15 +85,6 @@ class CandidatePool(_Columns):
     def __post_init__(self):
         self._coerce()
 
-    @classmethod
-    def from_candidates(cls, candidates: Iterable[tuple]) -> "CandidatePool":
-        rows = [Candidate(c[0], float(c[1]), bool(c[2])) for c in candidates]
-        return cls(
-            np.array([r.id for r in rows], dtype=object),
-            np.array([r.score for r in rows], dtype=np.float64),
-            np.array([r.protected for r in rows], dtype=bool),
-        )
-
     def take(self, indices) -> "RankedSequence":
         """Materialize the given pool row indices, in order, as a ranking."""
         idx = np.asarray(indices)
@@ -104,15 +104,6 @@ class RankedSequence(_Columns):
 
     def __post_init__(self):
         self._coerce()
-
-    @classmethod
-    def from_candidates(cls, candidates: Iterable[tuple]) -> "RankedSequence":
-        rows = [Candidate(c[0], float(c[1]), bool(c[2])) for c in candidates]
-        return cls(
-            np.array([r.id for r in rows], dtype=object),
-            np.array([r.score for r in rows], dtype=np.float64),
-            np.array([r.protected for r in rows], dtype=bool),
-        )
 
     @classmethod
     def from_flags(cls, flags) -> "RankedSequence":

@@ -31,7 +31,7 @@ from .experiment import (
 from .fairness import compute_mtable, verify_ranked_group_fairness
 from .metrics import _pool_index
 from .ranker import InfeasibleRankingError, color_blind_topk, fair_topk
-from .store import cached_adjustment, load_mtable, resolve_cache_dir, save_mtable
+from .store import cached_adjustment, resolve_cache_dir
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -50,6 +50,12 @@ def _prob(value: float) -> str:
     return f"{float(value):.6f}"
 
 
+def _alpha(value: float) -> str:
+    # an alpha_adj names a table, so print text that parses back to the same float
+    text = _prob(value)
+    return text if float(text) == value else repr(float(value))
+
+
 def _score(value: float) -> str:
     # shortest round-trip form: exact, stable, and readable for integers
     return repr(float(value))
@@ -66,23 +72,12 @@ def _write_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _mtable_with_cache(k, p, alpha_adj, cache_dir):
-    if cache_dir is not None:
-        hit = load_mtable(cache_dir, k, p, alpha_adj)
-        if hit is not None:
-            return hit
-    table = compute_mtable(k, p, alpha_adj)
-    if cache_dir is not None:
-        save_mtable(table, cache_dir)
-    return table
-
-
 def _adjustment_dict(result: AdjustmentResult) -> dict:
     return {
         "k": result.k,
         "p": round(result.p, 6),
         "alpha_target": round(result.alpha_target, 6),
-        "alpha_adj": round(result.alpha_adj, 6),
+        "alpha_adj": float(result.alpha_adj),
         "achieved_rejection": round(result.achieved_rejection_prob, 6),
         "feasible": result.feasible,
     }
@@ -92,22 +87,22 @@ def _adjustment_dict(result: AdjustmentResult) -> dict:
 
 
 def cmd_mtable(args) -> int:
-    cache_dir = resolve_cache_dir(args.cache_dir)
     adjustment = None
     alpha = args.alpha
     if args.adjust:
+        cache_dir = resolve_cache_dir(args.cache_dir)
         adjustment = cached_adjustment(args.k, args.p, args.alpha, cache_dir)
         if not adjustment.feasible:
             print(
                 f"error: no feasible alpha_adj for k={args.k} p={_prob(args.p)} "
                 f"alpha={_prob(args.alpha)}: best achievable rejection "
                 f"{_prob(adjustment.achieved_rejection_prob)} at "
-                f"alpha_adj={_prob(adjustment.alpha_adj)}",
+                f"alpha_adj={_alpha(adjustment.alpha_adj)}",
                 file=sys.stderr,
             )
             return EXIT_VERDICT
         alpha = adjustment.alpha_adj
-    table = _mtable_with_cache(args.k, args.p, alpha, cache_dir)
+    table = compute_mtable(args.k, args.p, alpha)
     if args.json:
         payload = {
             "k": args.k,
@@ -121,7 +116,7 @@ def cmd_mtable(args) -> int:
         return EXIT_OK
     if adjustment is not None:
         print(
-            f"# alpha_adj={_prob(adjustment.alpha_adj)} "
+            f"# alpha_adj={_alpha(adjustment.alpha_adj)} "
             f"achieved={_prob(adjustment.achieved_rejection_prob)} feasible=true"
         )
     _write_csv(
@@ -144,7 +139,7 @@ def cmd_adjust(args) -> int:
                     result.k,
                     _prob(result.p),
                     _prob(result.alpha_target),
-                    _prob(result.alpha_adj),
+                    _alpha(result.alpha_adj),
                     _prob(result.achieved_rejection_prob),
                     "true" if result.feasible else "false",
                 )
@@ -165,7 +160,7 @@ def cmd_verify(args) -> int:
             {
                 "fair": verdict.fair,
                 "k": verdict.k,
-                "alpha_used": round(alpha, 6),
+                "alpha_used": float(alpha),
                 "first_violation": verdict.first_violation,
                 "required": verdict.required,
                 "observed": verdict.observed,
@@ -178,7 +173,7 @@ def cmd_verify(args) -> int:
                 (
                     "true" if verdict.fair else "false",
                     verdict.k,
-                    _prob(alpha),
+                    _alpha(alpha),
                     "" if verdict.first_violation is None else verdict.first_violation,
                     "" if verdict.required is None else verdict.required,
                     "" if verdict.observed is None else verdict.observed,
@@ -264,7 +259,7 @@ def cmd_simulate(args) -> int:
             {
                 "k": args.k,
                 "p": round(args.p, 6),
-                "alpha_adj": round(args.alpha_adj, 6),
+                "alpha_adj": float(args.alpha_adj),
                 "trials": result.trials,
                 "rejections": result.rejections,
                 "estimate": round(result.estimate, 6),
@@ -278,7 +273,7 @@ def cmd_simulate(args) -> int:
                 (
                     args.k,
                     _prob(args.p),
-                    _prob(args.alpha_adj),
+                    _alpha(args.alpha_adj),
                     result.trials,
                     result.rejections,
                     _prob(result.estimate),
@@ -357,7 +352,7 @@ def _add_common(parser, cache=True):
         parser.add_argument(
             "--cache-dir",
             default=None,
-            help="cache directory for tables/adjustments "
+            help="cache directory for adjustments "
             "(default: $FAIR_TOPK_CACHE_DIR if set, else no cache)",
         )
 

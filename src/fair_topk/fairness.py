@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binomial import BinomialParams, cdf, minimum_counts, pmf
+from .binomial import BinomialParams, _carried_along, _check_args, cdf, minimum_counts
 from .candidates import RankedSequence
 
 __all__ = [
@@ -25,10 +25,6 @@ __all__ = [
     "verify_ranked_group_fairness",
     "ranked_group_fairness_measure",
 ]
-
-_KEY_DECIMALS = 6  # cache key granularity for (p, alpha_adj)
-_REFRESH_EVERY = 256
-_BOUNDARY_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,19 +76,10 @@ class BlockDecomposition:
 
 
 @lru_cache(maxsize=256)
-def _cached_mtable(k: int, p: float, alpha_adj: float) -> MTable:
-    return MTable(k, p, alpha_adj, minimum_counts(k, p, alpha_adj))
-
-
 def compute_mtable(k: int, p: float, alpha_adj: float) -> MTable:
-    """Table of per-prefix minimum protected counts, cached on rounded keys."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in the open interval (0, 1)")
-    if not 0.0 < alpha_adj < 1.0:
-        raise ValueError("alpha_adj must lie in the open interval (0, 1)")
-    return _cached_mtable(k, round(p, _KEY_DECIMALS), round(alpha_adj, _KEY_DECIMALS))
+    """Table of per-prefix minimum protected counts, cached on the exact arguments."""
+    _check_args(k, p, alpha_adj, name="alpha_adj")
+    return MTable(k, p, alpha_adj, minimum_counts(k, p, alpha_adj))
 
 
 def decompose_blocks(mtable: MTable) -> BlockDecomposition:
@@ -160,31 +147,12 @@ def ranked_group_fairness_measure(ranking: RankedSequence, p: float) -> float:
     Equals min over prefix lengths i of F(count_i; i, p): the test passes at
     every alpha strictly below this value and fails at any alpha at or above
     it.  Larger means the ranking adheres to the required counts more
-    comfortably.  Computed with the same one-step carried (cdf, pmf)
-    identities as the minimum-count table, so the whole scan is O(k).
+    comfortably.  One O(k) walk along the ranking's protected prefix counts.
     """
     k = len(ranking)
     if k == 0:
         raise ValueError("ranking must be non-empty")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in the open interval (0, 1)")
-    q = 1.0 - p
-    odds = p / q
-    flags = ranking.protected
-    best = 1.0
-    c = 0  # protected count of the current prefix
-    pmf_c = 1.0
-    cdf_c = 1.0
-    for i in range(1, k + 1):
-        cdf_c -= p * pmf_c
-        pmf_c *= q * i / (i - c)
-        if flags[i - 1]:
-            c += 1
-            pmf_c *= (i - c + 1) / c * odds
-            cdf_c += pmf_c
-        if cdf_c < best:
-            best = cdf_c
-        if i % _REFRESH_EVERY == 0:
-            params = BinomialParams(i, p)
-            cdf_c, pmf_c = cdf(c, params), pmf(c, params)
-    return float(min(best, 1.0))
+    cdfs, _ = _carried_along(ranking.protected_prefix_counts(), p)
+    return float(min(cdfs.min(), 1.0))

@@ -1,8 +1,8 @@
-"""On-disk cache for minimum-count tables and significance adjustments.
+"""On-disk cache for significance adjustments.
 
-Both artifacts depend only on (k, p, alpha) — never on a dataset — so they
-are computed once and reused.  The cache directory is chosen explicitly, via
-the FAIR_TOPK_CACHE_DIR environment variable, or not at all.
+An adjustment depends only on (k, p, alpha) — never on a dataset — so it is
+computed once and reused.  The cache directory is chosen explicitly, via the
+FAIR_TOPK_CACHE_DIR environment variable, or not at all.
 """
 from __future__ import annotations
 
@@ -11,22 +11,14 @@ import os
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .adjustment import AdjustmentResult, adjust_significance
-from .fairness import MTable
 
-__all__ = [
-    "resolve_cache_dir",
-    "mtable_path",
-    "save_mtable",
-    "load_mtable",
-    "cached_adjustment",
-]
+__all__ = ["resolve_cache_dir", "cached_adjustment"]
 
 ENV_VAR = "FAIR_TOPK_CACHE_DIR"
 ADJUSTMENTS_FILE = "adjustments.csv"
 _ADJUSTMENT_COLUMNS = ("k", "p", "alpha", "alpha_adj", "achieved_rejection", "feasible")
+_FEASIBLE = {"true": True, "false": False}
 
 
 def resolve_cache_dir(explicit: Optional[str] = None) -> Optional[Path]:
@@ -39,81 +31,62 @@ def resolve_cache_dir(explicit: Optional[str] = None) -> Optional[Path]:
     return path
 
 
-def _fmt(value: float) -> str:
-    """Canonical decimal form for filenames and cache keys: p=0.5 -> '0.5'."""
-    return format(round(float(value), 6), ".6f").rstrip("0").rstrip(".")
-
-
-def mtable_path(cache_dir: Path, k: int, p: float, alpha_adj: float) -> Path:
-    return Path(cache_dir) / f"mtable_k{k}_p{_fmt(p)}_a{_fmt(alpha_adj)}.csv"
-
-
-def save_mtable(mtable: MTable, cache_dir: Path) -> Path:
-    path = mtable_path(cache_dir, mtable.k, mtable.p, mtable.alpha_adj)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("position", "minimum"))
-        for position, minimum in enumerate(mtable.minima, start=1):
-            writer.writerow((position, int(minimum)))
-    tmp.replace(path)
-    return path
-
-
-def load_mtable(cache_dir: Path, k: int, p: float, alpha_adj: float) -> Optional[MTable]:
-    path = mtable_path(cache_dir, k, p, alpha_adj)
-    if not path.exists():
+def _parse(row: dict) -> Optional[AdjustmentResult]:
+    """The adjustment a well-formed row records, else None."""
+    try:
+        return AdjustmentResult(
+            k=int(row["k"]),
+            p=float(row["p"]),
+            alpha_target=float(row["alpha"]),
+            alpha_adj=float(row["alpha_adj"]),
+            achieved_rejection_prob=float(row["achieved_rejection"]),
+            feasible=_FEASIBLE[row["feasible"]],
+            search_iterations=0,
+        )
+    except (KeyError, TypeError, ValueError):
         return None
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        minima = np.array([int(row["minimum"]) for row in reader], dtype=np.int64)
-    if minima.shape[0] != k:
-        return None  # stale or truncated; treat as a miss
-    return MTable(k, p, alpha_adj, minima)
 
 
-def _adjustment_rows(path: Path):
-    if not path.exists():
+def _read_rows(path: Path) -> list:
+    """Adjustments recorded in the file; rows that do not parse are left out."""
+    try:
+        with open(path, newline="") as fh:
+            return [result for result in map(_parse, csv.DictReader(fh)) if result]
+    except (FileNotFoundError, csv.Error, UnicodeDecodeError):
         return []
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def cached_adjustment(
     k: int, p: float, alpha: float, cache_dir: Optional[Path] = None
 ) -> AdjustmentResult:
-    """adjust_significance with a read-through CSV cache keyed on (k, p, alpha)."""
+    """adjust_significance with a read-through CSV cache keyed on exact (k, p, alpha).
+
+    Values are written as round-trip text (repr).  A miss recomputes and
+    rewrites the whole file atomically, dropping rows that do not parse.
+    """
     if cache_dir is None:
         return adjust_significance(k, p, alpha)
     path = Path(cache_dir) / ADJUSTMENTS_FILE
-    key = (str(k), _fmt(p), _fmt(alpha))
-    for row in _adjustment_rows(path):
-        if (row["k"], _fmt(float(row["p"])), _fmt(float(row["alpha"]))) == key:
-            return AdjustmentResult(
-                k=k,
-                p=p,
-                alpha_target=alpha,
-                alpha_adj=float(row["alpha_adj"]),
-                achieved_rejection_prob=float(row["achieved_rejection"]),
-                feasible=row["feasible"] == "true",
-                search_iterations=0,
-            )
+    rows = _read_rows(path)
+    for row in rows:
+        if (row.k, row.p, row.alpha_target) == (k, p, alpha):
+            return row
     result = adjust_significance(k, p, alpha)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(_ADJUSTMENT_COLUMNS)
-        writer.writerow(
-            (
-                k,
-                _fmt(p),
-                _fmt(alpha),
-                f"{result.alpha_adj:.10f}",
-                f"{result.achieved_rejection_prob:.10f}",
-                "true" if result.feasible else "false",
+        writer.writerow(_ADJUSTMENT_COLUMNS)
+        for row in rows + [result]:
+            writer.writerow(
+                (
+                    row.k,
+                    repr(float(row.p)),
+                    repr(float(row.alpha_target)),
+                    repr(float(row.alpha_adj)),
+                    repr(float(row.achieved_rejection_prob)),
+                    "true" if row.feasible else "false",
+                )
             )
-        )
+    tmp.replace(path)
     return result

@@ -47,7 +47,7 @@ def test_mtable_adjust_prints_comment(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "# alpha_adj=0.020480 achieved=0.099951 feasible=true"
+    assert lines[0] == "# alpha_adj=0.020300 achieved=0.099951 feasible=true"
     assert lines[1] == "position,minimum"
     assert len(lines) == 102
 
@@ -80,7 +80,7 @@ def test_adjust_feasible_row(capsys):
     assert lines[0] == "k,p,alpha,alpha_adj,achieved_rejection,feasible"
     cells = lines[1].split(",")
     assert cells[0] == "100"
-    assert cells[3] == "0.020480"
+    assert cells[3] == "0.020300"
     assert cells[5] == "true"
 
 
@@ -403,9 +403,26 @@ def test_usage_errors_exit_two(capsys):
 def test_cache_dir_env_variable(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("FAIR_TOPK_CACHE_DIR", str(cache))
-    code, _, _ = run(capsys, "mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1")
+    code, _, _ = run(
+        capsys, "mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--adjust"
+    )
     assert code == 0
-    assert (cache / "mtable_k10_p0.5_a0.1.csv").exists()
+    assert [path.name for path in cache.iterdir()] == ["adjustments.csv"]
+
+
+def test_truncated_cache_row_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "c"
+    cache.mkdir()
+    header = "k,p,alpha,alpha_adj,achieved_rejection,feasible"
+    (cache / "adjustments.csv").write_text(f"{header}\n100,0.5\n")
+    args = ("adjust", "--k", "100", "--p", "0.5", "--alpha", "0.1")
+    code, out, err = run(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0
+    assert err == ""  # no traceback
+    assert out == run(capsys, *args)[1]  # same row as without a cache
+    lines = (cache / "adjustments.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 2 and lines[1].startswith("100,0.5,0.1,0.0203,")
 
 
 def test_stdout_uses_plain_newlines(capsys):

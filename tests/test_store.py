@@ -1,62 +1,10 @@
-"""Cache-layer tests: file naming, round-trips, misses, and read-through."""
-import numpy as np
+"""Cache-layer tests: directory resolution, read-through, exact keys, repair."""
 import pytest
 
 from fair_topk.adjustment import adjust_significance
-from fair_topk.fairness import MTable, compute_mtable
-from fair_topk.store import (
-    ADJUSTMENTS_FILE,
-    cached_adjustment,
-    load_mtable,
-    mtable_path,
-    resolve_cache_dir,
-    save_mtable,
-)
+from fair_topk.store import ADJUSTMENTS_FILE, cached_adjustment, resolve_cache_dir
 
-
-def test_mtable_filename_convention(tmp_path):
-    path = mtable_path(tmp_path, 100, 0.5, 0.0148)
-    assert path.name == "mtable_k100_p0.5_a0.0148.csv"
-    assert mtable_path(tmp_path, 10, 0.15, 0.1).name == "mtable_k10_p0.15_a0.1.csv"
-
-
-def test_mtable_round_trip(tmp_path):
-    table = compute_mtable(50, 0.5, 0.02)
-    saved = save_mtable(table, tmp_path)
-    assert saved.exists()
-    assert not saved.with_suffix(".tmp").exists()  # replaced, not left behind
-    loaded = load_mtable(tmp_path, 50, 0.5, 0.02)
-    assert isinstance(loaded, MTable)
-    assert loaded.k == 50
-    assert np.array_equal(loaded.minima, table.minima)
-
-
-def test_mtable_file_content_shape(tmp_path):
-    table = compute_mtable(4, 0.5, 0.1)
-    saved = save_mtable(table, tmp_path)
-    lines = saved.read_text().splitlines()
-    assert lines[0] == "position,minimum"
-    assert lines[1] == "1,0"
-    assert lines[-1] == "4,1"
-    assert len(lines) == 5
-
-
-def test_mtable_load_miss_returns_none(tmp_path):
-    assert load_mtable(tmp_path, 9, 0.4, 0.1) is None
-
-
-def test_mtable_truncated_file_is_a_miss(tmp_path):
-    table = compute_mtable(6, 0.5, 0.1)
-    saved = save_mtable(table, tmp_path)
-    lines = saved.read_text().splitlines()
-    saved.write_text("\n".join(lines[:-2]) + "\n")  # drop two positions
-    assert load_mtable(tmp_path, 6, 0.5, 0.1) is None
-
-
-def test_save_creates_missing_directory(tmp_path):
-    nested = tmp_path / "a" / "b"
-    save_mtable(compute_mtable(3, 0.5, 0.1), nested)
-    assert load_mtable(nested, 3, 0.5, 0.1) is not None
+HEADER = "k,p,alpha,alpha_adj,achieved_rejection,feasible"
 
 
 def test_resolve_cache_dir_precedence(tmp_path, monkeypatch):
@@ -90,7 +38,7 @@ def test_cached_adjustment_read_through(tmp_path):
     assert again.feasible is first.feasible
 
     lines = (tmp_path / ADJUSTMENTS_FILE).read_text().splitlines()
-    assert lines[0] == "k,p,alpha,alpha_adj,achieved_rejection,feasible"
+    assert lines[0] == HEADER
     assert len(lines) == 2
 
 
@@ -108,3 +56,53 @@ def test_cached_adjustment_persists_infeasible_flag(tmp_path):
     again = cached_adjustment(1, 0.5, 0.1, tmp_path)
     assert not again.feasible
     assert again.search_iterations == 0
+
+
+def test_cached_adjustment_round_trips_exactly(tmp_path):
+    first = cached_adjustment(100, 0.5, 0.1, tmp_path)
+    again = cached_adjustment(100, 0.5, 0.1, tmp_path)
+    assert again.alpha_adj == first.alpha_adj
+    assert again.achieved_rejection_prob == first.achieved_rejection_prob
+    row = (tmp_path / ADJUSTMENTS_FILE).read_text().splitlines()[1].split(",")
+    assert row[:3] == ["100", "0.5", "0.1"]
+    assert float(row[3]) == first.alpha_adj
+
+
+def test_cached_adjustment_keys_on_exact_values(tmp_path):
+    cached_adjustment(40, 0.5, 0.1, tmp_path)
+    near = cached_adjustment(40, 0.5 + 1e-9, 0.1, tmp_path)
+    assert near.search_iterations > 0  # not served from the 0.5 row
+    assert len((tmp_path / ADJUSTMENTS_FILE).read_text().splitlines()) == 3
+
+
+def test_cached_adjustment_reads_six_decimal_rows(tmp_path):
+    exact = adjust_significance(40, 0.15, 0.05)
+    (tmp_path / ADJUSTMENTS_FILE).write_text(
+        f"{HEADER}\n40,0.15,0.05,{exact.alpha_adj!r},0.0480000000,true\n"
+    )
+    hit = cached_adjustment(40, 0.15, 0.05, tmp_path)
+    assert hit.search_iterations == 0
+    assert hit.alpha_adj == exact.alpha_adj
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "100,0.5",
+        "100,0.5,0.1,abc,0.09,true",
+        "100,0.5,0.1,0.02,0.09,maybe",
+        "x,0.5,0.1,0.02,0.09,true",
+    ],
+)
+def test_malformed_row_is_a_miss_and_is_repaired(tmp_path, bad_row):
+    path = tmp_path / ADJUSTMENTS_FILE
+    path.write_text(f"{HEADER}\n10,0.5,0.1,0.1,0.0,false\n{bad_row}\n")
+    result = cached_adjustment(100, 0.5, 0.1, tmp_path)
+    assert result.search_iterations > 0  # recomputed
+    assert result.alpha_adj == adjust_significance(100, 0.5, 0.1).alpha_adj
+    lines = path.read_text().splitlines()
+    assert lines[0] == HEADER
+    assert lines[1] == "10,0.5,0.1,0.1,0.0,false"  # the good row is kept
+    assert len(lines) == 3  # and the malformed one is gone
+    assert not path.with_suffix(".tmp").exists()
+    assert cached_adjustment(100, 0.5, 0.1, tmp_path).search_iterations == 0
