@@ -13,7 +13,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default="data", help="directory from make_datasets.py")
     parser.add_argument("--out", default="results", help="where to write report CSVs")
-    parser.add_argument("--cache", default=None, help="mtable/adjustment cache dir")
+    parser.add_argument("--cache", default=None, help="adjustment cache dir")
     args = parser.parse_args()
 
     data = Path(args.data)

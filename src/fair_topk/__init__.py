@@ -9,7 +9,7 @@ from .adjustment import (
     simulate_rejection_rate,
 )
 from .baselines import RepairedPool, feldman_repair, yang_stoyanovich_generate
-from .binomial import BinomialParams, cdf, minimum_counts, percent_point, pmf, table_plateau
+from .binomial import BinomialParams, cdf, minimum_counts, percent_point, pmf
 from .candidates import Candidate, CandidatePool, RankedSequence
 from .experiment import (
     DataLoadError,
@@ -100,7 +100,6 @@ __all__ = [
     "save_candidates",
     "selection_utility",
     "simulate_rejection_rate",
-    "table_plateau",
     "verify_ranked_group_fairness",
     "yang_stoyanovich_generate",
 ]

@@ -132,7 +132,7 @@ def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResu
     def result(alpha_adj: float, rejection: float) -> AdjustmentResult:
         return AdjustmentResult(
             k, p, alpha_target, alpha_adj, rejection,
-            feasible=(alpha_target - rejection) <= FEASIBILITY_TOL,
+            feasible=0.0 <= alpha_target - rejection <= FEASIBILITY_TOL,
             search_iterations=evaluations,
         )
 
@@ -143,6 +143,7 @@ def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResu
     # The union bound (rejection <= k * alpha_adj) makes SEARCH_FLOOR feasible
     # for any sane target; only a target below k * SEARCH_FLOOR needs the check.
     if k * SEARCH_FLOOR > alpha_target:
+        evaluations += 1
         r_floor = rejection_probability(k, p, SEARCH_FLOOR)
         if r_floor > alpha_target:
             return result(SEARCH_FLOOR, r_floor)

@@ -18,9 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "BinomialParams", "pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts", "table_plateau"
-]
+__all__ = ["BinomialParams", "pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts"]
 
 # Carried recurrences (_Walk) shed accumulated rounding by recomputing from
 # the mode-seeded vector every this many trials.

@@ -17,7 +17,9 @@ __all__ = ["resolve_cache_dir", "cached_adjustment"]
 
 ENV_VAR = "FAIR_TOPK_CACHE_DIR"
 ADJUSTMENTS_FILE = "adjustments.csv"
-_ADJUSTMENT_COLUMNS = ("k", "p", "alpha", "alpha_adj", "achieved_rejection", "feasible")
+# The header names the format.  Older files say "achieved_rejection"; their
+# alpha_adj was never checked to build the largest feasible table: none is read.
+_ADJUSTMENT_COLUMNS = ("k", "p", "alpha", "alpha_adj", "table_rejection", "feasible")
 _FEASIBLE = {"true": True, "false": False}
 
 
@@ -39,7 +41,7 @@ def _parse(row: dict) -> Optional[AdjustmentResult]:
             p=float(row["p"]),
             alpha_target=float(row["alpha"]),
             alpha_adj=float(row["alpha_adj"]),
-            achieved_rejection_prob=float(row["achieved_rejection"]),
+            achieved_rejection_prob=float(row["table_rejection"]),
             feasible=_FEASIBLE[row["feasible"]],
             search_iterations=0,
         )
@@ -48,10 +50,13 @@ def _parse(row: dict) -> Optional[AdjustmentResult]:
 
 
 def _read_rows(path: Path) -> list:
-    """Adjustments recorded in the file; rows that do not parse are left out."""
+    """Adjustments in the file; bad rows and files in another format are left out."""
     try:
         with open(path, newline="") as fh:
-            return [result for result in map(_parse, csv.DictReader(fh)) if result]
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames or ()) != _ADJUSTMENT_COLUMNS:
+                return []
+            return [result for result in map(_parse, reader) if result]
     except (FileNotFoundError, csv.Error, UnicodeDecodeError):
         return []
 
@@ -62,7 +67,8 @@ def cached_adjustment(
     """adjust_significance with a read-through CSV cache keyed on exact (k, p, alpha).
 
     Values are written as round-trip text (repr).  A miss recomputes and
-    rewrites the whole file atomically, dropping rows that do not parse.
+    rewrites the whole file atomically, dropping rows that do not parse and
+    every row of a file in another format.
     """
     if cache_dir is None:
         return adjust_significance(k, p, alpha)
@@ -78,15 +84,9 @@ def cached_adjustment(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_ADJUSTMENT_COLUMNS)
         for row in rows + [result]:
+            values = (row.p, row.alpha_target, row.alpha_adj, row.achieved_rejection_prob)
             writer.writerow(
-                (
-                    row.k,
-                    repr(float(row.p)),
-                    repr(float(row.alpha_target)),
-                    repr(float(row.alpha_adj)),
-                    repr(float(row.achieved_rejection_prob)),
-                    "true" if row.feasible else "false",
-                )
+                (row.k, *(repr(float(v)) for v in values), "true" if row.feasible else "false")
             )
     tmp.replace(path)
     return result

@@ -110,3 +110,17 @@ def test_mtable_adjust_prints_a_table_within_alpha(capsys):
     printed = np.array([int(line.split(",")[1]) for line in lines[2:]])
     assert np.array_equal(printed, minimum_counts(100, 0.5, alpha_adj))
     assert rejection_probability(100, 0.5, alpha_adj) <= 0.1
+
+
+def test_target_below_what_the_search_floor_meets_is_infeasible(capsys):
+    # k * SEARCH_FLOOR > alpha: even the floor's table rejects more than alpha
+    result = adjust_significance(1000, 0.5, 1e-11)
+    assert result.achieved_rejection_prob > 1e-11
+    assert not result.feasible
+    code = cli.main(["adjust", "--k", "1000", "--p", "0.5", "--alpha", "1e-11"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[1].endswith(",false")
+    code = cli.main(["mtable", "--k", "1000", "--p", "0.5", "--alpha", "1e-11", "--adjust"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and err.startswith("error: no feasible alpha_adj")

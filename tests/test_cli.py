@@ -413,7 +413,7 @@ def test_cache_dir_env_variable(capsys, tmp_path, monkeypatch):
 def test_truncated_cache_row_is_recomputed(capsys, tmp_path):
     cache = tmp_path / "c"
     cache.mkdir()
-    header = "k,p,alpha,alpha_adj,achieved_rejection,feasible"
+    header = "k,p,alpha,alpha_adj,table_rejection,feasible"
     (cache / "adjustments.csv").write_text(f"{header}\n100,0.5\n")
     args = ("adjust", "--k", "100", "--p", "0.5", "--alpha", "0.1")
     code, out, err = run(capsys, *args, "--cache-dir", str(cache))

@@ -4,7 +4,7 @@ import pytest
 from fair_topk.adjustment import adjust_significance
 from fair_topk.store import ADJUSTMENTS_FILE, cached_adjustment, resolve_cache_dir
 
-HEADER = "k,p,alpha,alpha_adj,achieved_rejection,feasible"
+HEADER = "k,p,alpha,alpha_adj,table_rejection,feasible"
 
 
 def test_resolve_cache_dir_precedence(tmp_path, monkeypatch):
@@ -106,3 +106,18 @@ def test_malformed_row_is_a_miss_and_is_repaired(tmp_path, bad_row):
     assert len(lines) == 3  # and the malformed one is gone
     assert not path.with_suffix(".tmp").exists()
     assert cached_adjustment(100, 0.5, 0.1, tmp_path).search_iterations == 0
+
+
+def test_file_in_the_older_format_is_a_miss_and_is_rewritten(tmp_path):
+    # rows whose alpha_adj came from the float bisection, not from a plateau
+    path = tmp_path / ADJUSTMENTS_FILE
+    path.write_text(
+        "k,p,alpha,alpha_adj,achieved_rejection,feasible\n"
+        "100,0.500000,0.100000,0.0204797958,0.0999507889,true\n"
+    )
+    result = cached_adjustment(100, 0.5, 0.1, tmp_path)
+    assert result.search_iterations > 0
+    assert result.alpha_adj == 0.0203
+    lines = path.read_text().splitlines()
+    assert lines[0] == HEADER
+    assert len(lines) == 2 and lines[1].startswith("100,0.5,0.1,0.0203,")
