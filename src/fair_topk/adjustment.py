@@ -110,6 +110,13 @@ def _shortest_inside(lower: float, upper: float) -> float:
     return lower
 
 
+def _alpha_text(value: float) -> str:
+    """An alpha_adj names a table, so print text that parses back to the same
+    float: six decimals when they round-trip, else ``repr``."""
+    text = f"{float(value):.6f}"
+    return text if float(text) == value else repr(float(value))
+
+
 def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResult:
     """Find the largest table whose rejection probability meets a target.
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -13,14 +13,10 @@ __all__ = ["RepairedPool", "feldman_repair", "yang_stoyanovich_generate"]
 
 @dataclass(frozen=True)
 class RepairedPool:
-    """A pool with protected scores rewritten, plus what changed.
-
-    ``replacements`` maps each protected candidate's id to its
-    (original, repaired) score pair; non-protected scores are untouched.
-    """
+    """A pool with protected scores rewritten; rows, ids and non-protected
+    scores are those of the input pool."""
 
     pool: CandidatePool
-    replacements: Dict[object, Tuple[float, float]]
 
 
 def feldman_repair(pool: CandidatePool) -> RepairedPool:
@@ -45,11 +41,7 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     repaired = np.sort(pool.scores[open_rows])[target - 1]
     scores = pool.scores.copy()
     scores[order] = repaired
-    replacements = {
-        pool.ids[row].item(): (float(pool.scores[row]), float(scores[row]))
-        for row in order
-    }
-    return RepairedPool(pool.with_scores(scores), replacements)
+    return RepairedPool(pool.with_scores(scores))
 
 
 def yang_stoyanovich_generate(

@@ -30,7 +30,8 @@ def _validate_columns(ids, scores, protected):
         raise ValueError("ids, scores and protected must have equal length")
     if n and not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    if np.unique(ids).shape[0] != n:
+    ordered = np.sort(ids)  # far cheaper than a hash-based unique count at 10^6 ids
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("candidate ids must be unique")
 
 

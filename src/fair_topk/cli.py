@@ -17,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjustment import AdjustmentResult, simulate_rejection_rate
+from .adjustment import AdjustmentResult, _alpha_text, simulate_rejection_rate
 from .baselines import feldman_repair, yang_stoyanovich_generate
 from .candidates import CandidatePool
+from .datasets import XING_COLUMNS
 from .experiment import (
     DataLoadError,
     DatasetSpec,
+    _read_columns,
     load_candidates,
     load_ranking,
     load_spec,
@@ -30,7 +32,7 @@ from .experiment import (
 )
 from .fairness import compute_mtable, verify_ranked_group_fairness
 from .metrics import _pool_index
-from .ranker import InfeasibleRankingError, color_blind_topk, fair_topk
+from .ranker import InfeasibleRankingError, _top_indices, color_blind_topk, fair_topk
 from .store import cached_adjustment, resolve_cache_dir
 
 EXIT_OK = 0
@@ -43,17 +45,8 @@ _EXIT_HELP = (
     "infeasible adjustments); 2 usage error; 3 data error"
 )
 
-XING_COLUMNS = ("query", "id", "gender", "work_months", "edu_months", "views")
-
-
 def _prob(value: float) -> str:
     return f"{float(value):.6f}"
-
-
-def _alpha(value: float) -> str:
-    # an alpha_adj names a table, so print text that parses back to the same float
-    text = _prob(value)
-    return text if float(text) == value else repr(float(value))
 
 
 def _score(value: float) -> str:
@@ -97,7 +90,7 @@ def cmd_mtable(args) -> int:
                 f"error: no feasible alpha_adj for k={args.k} p={_prob(args.p)} "
                 f"alpha={_prob(args.alpha)}: best achievable rejection "
                 f"{_prob(adjustment.achieved_rejection_prob)} at "
-                f"alpha_adj={_alpha(adjustment.alpha_adj)}",
+                f"alpha_adj={_alpha_text(adjustment.alpha_adj)}",
                 file=sys.stderr,
             )
             return EXIT_VERDICT
@@ -116,7 +109,7 @@ def cmd_mtable(args) -> int:
         return EXIT_OK
     if adjustment is not None:
         print(
-            f"# alpha_adj={_alpha(adjustment.alpha_adj)} "
+            f"# alpha_adj={_alpha_text(adjustment.alpha_adj)} "
             f"achieved={_prob(adjustment.achieved_rejection_prob)} feasible=true"
         )
     _write_csv(
@@ -139,7 +132,7 @@ def cmd_adjust(args) -> int:
                     result.k,
                     _prob(result.p),
                     _prob(result.alpha_target),
-                    _alpha(result.alpha_adj),
+                    _alpha_text(result.alpha_adj),
                     _prob(result.achieved_rejection_prob),
                     "true" if result.feasible else "false",
                 )
@@ -173,7 +166,7 @@ def cmd_verify(args) -> int:
                 (
                     "true" if verdict.fair else "false",
                     verdict.k,
-                    _alpha(alpha),
+                    _alpha_text(alpha),
                     "" if verdict.first_violation is None else verdict.first_violation,
                     "" if verdict.required is None else verdict.required,
                     "" if verdict.observed is None else verdict.observed,
@@ -215,9 +208,9 @@ def cmd_rank(args) -> int:
 
     # where each ranked candidate would sit in the color-blind order of the
     # original pool (1-based), so displacement is visible in the output
-    full = color_blind_topk(pool, len(pool))
     reference_position = np.empty(len(pool), dtype=np.int64)
-    reference_position[_pool_index(pool, full.ids)] = np.arange(1, len(pool) + 1)
+    order = _top_indices(pool.scores, pool.ids, len(pool))
+    reference_position[order] = np.arange(1, len(pool) + 1)
     positions = reference_position[_pool_index(pool, ranking.ids)]
 
     if args.json:
@@ -273,7 +266,7 @@ def cmd_simulate(args) -> int:
                 (
                     args.k,
                     _prob(args.p),
-                    _alpha(args.alpha_adj),
+                    _alpha_text(args.alpha_adj),
                     result.trials,
                     result.rejections,
                     _prob(result.estimate),
@@ -310,30 +303,21 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_prep_xing(args) -> int:
-    path = Path(args.input)
-    if not path.exists():
-        raise DataLoadError(f"{path}: no such file")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in XING_COLUMNS if c not in header]
-        if missing:
-            raise DataLoadError(f"{path}: missing columns {missing}")
-        rows = [row for row in reader if args.query is None or row["query"] == args.query]
-    queries = sorted({row["query"] for row in rows})
-    if not rows:
-        raise DataLoadError(f"{path}: no rows" + (f" for query {args.query!r}" if args.query else ""))
-    if len(queries) > 1:
-        raise DataLoadError(
-            f"{path}: multiple queries {queries}; pick one with --query"
-        )
-    out = []
-    for number, row in enumerate(rows, start=2):
-        try:
-            score = (int(row["work_months"]) + int(row["edu_months"])) * int(row["views"])
-        except (TypeError, ValueError):
-            raise DataLoadError(f"{path}: row {number}: unparseable profile columns") from None
-        out.append((row["id"], score, int(row["gender"] == args.protected_gender)))
+    label = str(args.input)
+    protected = lambda gender: int(gender == args.protected_gender)
+    parsers = dict(zip(XING_COLUMNS, (str, str, protected, int, int, int)))
+    columns = _read_columns(args.input, label, parsers)
+    out = [
+        (candidate, (work + edu) * views, flag)
+        for query, candidate, flag, work, edu, views in zip(*columns.values())
+        if args.query in (None, query)
+    ]
+    if not out:
+        for_query = f" for query {args.query!r}" if args.query else ""
+        raise DataLoadError(f"{label}: no rows{for_query}")
+    queries = sorted(set(columns["query"]))
+    if args.query is None and len(queries) > 1:
+        raise DataLoadError(f"{label}: multiple queries {queries}; pick one with --query")
     if args.json:
         _write_json(
             [{"id": i, "score": s, "protected": bool(g)} for i, s, g in out]

@@ -25,6 +25,9 @@ __all__ = [
 # under-25 candidates (the anchor the directional experiments assume).
 GERMAN_CREDIT_SEED = 49
 
+# Profile columns of a job-platform search export, as prep-xing reads them.
+XING_COLUMNS = ("query", "id", "gender", "work_months", "edu_months", "views")
+
 
 def _write(path, header, rows):
     path = Path(path)
@@ -147,8 +150,4 @@ def write_xing_like(path, seed: int = 21) -> None:
                 )
             )
             next_id += 1
-    _write(
-        path,
-        ("query", "id", "gender", "work_months", "edu_months", "views"),
-        rows,
-    )
+    _write(path, XING_COLUMNS, rows)

@@ -16,7 +16,7 @@ from typing import IO, Optional, Sequence, Tuple, Union
 import numpy as np
 import yaml
 
-from .adjustment import rejection_probability, simulate_rejection_rate
+from .adjustment import _alpha_text, rejection_probability, simulate_rejection_rate
 from .baselines import feldman_repair
 from .candidates import CandidatePool, RankedSequence
 from .metrics import UtilityReport, evaluate_ranking
@@ -82,39 +82,68 @@ class DatasetSpec:
             raise ValueError("every p in p_grid must lie in the open interval (0, 1)")
 
 
+def _read_columns(source, label: str, parsers: dict, optional=()) -> dict:
+    """Stream a headered CSV (a path or an open text file) into one list per
+    column, converting each field with ``parsers[column]`` as it is read.  A
+    column in ``optional`` may be absent.  Blank lines and extra fields are
+    ignored; malformed input raises DataLoadError naming the file line."""
+    if not hasattr(source, "read"):
+        if not Path(source).exists():
+            raise DataLoadError(f"{source}: no such file")
+        with open(source, newline="", encoding="utf-8") as fh:
+            return _read_columns(fh, label, parsers, optional)
+    reader = csv.reader(source)
+    try:
+        header = next(reader, [])
+        for name in parsers:
+            if name not in header and name not in optional:
+                raise DataLoadError(f"{label}: missing column {name!r} (have {header})")
+        columns = {name: [] for name in parsers if name in header}
+        plan = [(name, header.index(name), parsers[name], columns[name].append) for name in columns]
+        for row in filter(None, reader):
+            for name, i, parse, append in plan:
+                append(parse(row[i]))
+    # the loop variables still hold the failing row and column
+    except IndexError:
+        raise DataLoadError(f"{label}: row {reader.line_num}: no {name!r} field") from None
+    except UnicodeDecodeError as exc:  # raised for a chunk read ahead of the rows parsed
+        line = reader.line_num + 1 + exc.object[: exc.start].count(b"\n")
+        raise DataLoadError(f"{label}: row {line}: not valid UTF-8") from None
+    except ValueError:
+        raise DataLoadError(
+            f"{label}: row {reader.line_num}: unparseable {name} {row[i]!r}"
+        ) from None
+    except csv.Error as exc:
+        raise DataLoadError(f"{label}: row {reader.line_num}: {exc}") from None
+    return columns
+
+
+def _container(cls, label: str, ids: list, scores: list, flags: list):
+    """Build a pool or ranking from loaded columns; bad values are data errors."""
+    try:
+        return cls(np.array(ids, dtype=object), scores, flags)
+    except ValueError as exc:
+        raise DataLoadError(f"{label}: {exc}") from None
+
+
 def load_candidates(spec: DatasetSpec) -> CandidatePool:
     """Read the pool named by the spec; row numbers appear in error messages.
 
     Scores are negated when higher_is_better is false, so a larger stored
     quality is always better downstream.
     """
-    path = Path(spec.path)
-    if not path.exists():
-        raise DataLoadError(f"{path}: no such file")
-    ids, scores, flags = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in (spec.id_column, spec.score_column, spec.protected_column):
-            if column not in header:
-                raise DataLoadError(f"{path}: missing column {column!r} (have {header})")
-        for number, row in enumerate(reader, start=2):
-            raw = row[spec.score_column]
-            try:
-                score = float(raw)
-            except (TypeError, ValueError):
-                raise DataLoadError(
-                    f"{path}: row {number}: unparseable score {raw!r}"
-                ) from None
-            ids.append(row[spec.id_column])
-            scores.append(score if spec.higher_is_better else -score)
-            flags.append(str(row[spec.protected_column]).strip() == spec.protected_value)
+    label = str(spec.path)
+    columns = _read_columns(spec.path, label, {
+        spec.id_column: str,
+        spec.score_column: float if spec.higher_is_better else lambda text: -float(text),
+        spec.protected_column: lambda text: text.strip() == spec.protected_value,
+    })
+    ids = columns[spec.id_column]
     if not ids:
-        raise DataLoadError(f"{path}: no candidate rows")
-    try:
-        return CandidatePool(np.array(ids, dtype=object), np.array(scores), np.array(flags))
-    except ValueError as exc:
-        raise DataLoadError(f"{path}: {exc}") from None
+        raise DataLoadError(f"{label}: no candidate rows")
+    return _container(
+        CandidatePool, label, ids, columns[spec.score_column], columns[spec.protected_column]
+    )
 
 
 def save_candidates(pool: CandidatePool, path) -> None:
@@ -126,40 +155,23 @@ def save_candidates(pool: CandidatePool, path) -> None:
             writer.writerow((candidate.id, repr(candidate.score), int(candidate.protected)))
 
 
+def _boolean(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in TRUTHY | FALSY:
+        raise ValueError(value)
+    return value in TRUTHY
+
+
 def load_ranking(source: Union[str, Path, IO]) -> RankedSequence:
     """Read an ordered ranking CSV: columns id,protected and optional score."""
-
-    def parse(fh) -> RankedSequence:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in ("id", "protected"):
-            if column not in header:
-                raise DataLoadError(f"ranking input: missing column {column!r}")
-        ids, scores, flags = [], [], []
-        for number, row in enumerate(reader, start=2):
-            raw = str(row["protected"]).strip().lower()
-            if raw in TRUTHY:
-                flag = True
-            elif raw in FALSY:
-                flag = False
-            else:
-                raise DataLoadError(
-                    f"ranking input: row {number}: protected must be boolean-like, got {raw!r}"
-                )
-            ids.append(row["id"])
-            flags.append(flag)
-            scores.append(float(row["score"]) if "score" in header else 0.0)
-        if not ids:
-            raise DataLoadError("ranking input: no rows")
-        return RankedSequence(np.array(ids, dtype=object), np.array(scores), np.array(flags))
-
-    if hasattr(source, "read"):
-        return parse(source)
-    path = Path(source)
-    if not path.exists():
-        raise DataLoadError(f"{path}: no such file")
-    with open(path, newline="") as fh:
-        return parse(fh)
+    label = "ranking input" if hasattr(source, "read") else str(source)
+    parsers = {"id": str, "protected": _boolean, "score": float}
+    columns = _read_columns(source, label, parsers, optional=("score",))
+    ids = columns["id"]
+    if not ids:
+        raise DataLoadError(f"{label}: no rows")
+    scores = columns.get("score", [0.0] * len(ids))
+    return _container(RankedSequence, label, ids, scores, columns["protected"])
 
 
 def load_spec(path) -> DatasetSpec:
@@ -170,10 +182,10 @@ def load_spec(path) -> DatasetSpec:
     path = Path(path)
     if not path.exists():
         raise DataLoadError(f"{path}: no such file")
-    text = path.read_text()
     try:
+        text = path.read_text(encoding="utf-8")
         mapping = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, yaml.YAMLError) as exc:
         raise DataLoadError(f"{path}: unparseable config: {exc}") from None
     if not isinstance(mapping, dict):
         raise DataLoadError(f"{path}: config must be a mapping")
@@ -286,7 +298,7 @@ def emit_curve_data(
                 (
                     k,
                     f"{p:.6f}",
-                    f"{alpha_adj:.6f}",
+                    _alpha_text(alpha_adj),
                     f"{analytic:.6f}",
                     f"{simulated.estimate:.6f}",
                     f"{simulated.stderr:.6f}",

@@ -104,12 +104,14 @@ def ordering_utility(ranking: RankedSequence, pool: CandidatePool) -> OrderingRe
     value = float(utilities[worst])
     if value == 0.0:
         return OrderingResult(0.0, 0, None)
-    reference = color_blind_topk(pool, len(pool))
-    reference_position = int(
-        np.flatnonzero(reference.ids == ranking.ids[worst])[0]
-    ) + 1
-    drop = max(0, (worst + 1) - reference_position)
-    return OrderingResult(value, drop, ranking.ids[worst].item())
+    witness = ranking.ids[worst]
+    score = pool.scores[pool.ids == witness][0]
+    # the witness's 0-based color-blind position: the pool rows ahead of it
+    # by (score desc, id asc)
+    ahead = int(np.count_nonzero(
+        (pool.scores > score) | ((pool.scores == score) & (pool.ids < witness))
+    ))
+    return OrderingResult(value, max(0, worst - ahead), witness.item())
 
 
 def ndcg(ranking: RankedSequence, pool: CandidatePool, k: Optional[int] = None) -> float:

@@ -15,6 +15,16 @@ def two_group_pool(protected_scores, open_scores):
     return CandidatePool(np.arange(1, len(scores) + 1), scores, flags)
 
 
+def score_changes(pool, repaired):
+    """id -> (original, repaired) score of each protected candidate."""
+    assert np.array_equal(repaired.pool.ids, pool.ids)
+    rows = np.flatnonzero(pool.protected)
+    return {
+        pool.ids[row].item(): (float(pool.scores[row]), float(repaired.pool.scores[row]))
+        for row in rows
+    }
+
+
 # ---------------------------------------------------------------------------
 # quantile repair
 
@@ -29,20 +39,20 @@ def test_repair_identical_distributions_is_identity():
     pool = two_group_pool([4.0, 5.0, 6.0], [4.0, 5.0, 6.0])
     repaired = feldman_repair(pool)
     assert repaired.pool.scores.tolist() == pool.scores.tolist()
-    assert all(old == new for old, new in repaired.replacements.values())
+    assert all(old == new for old, new in score_changes(pool, repaired).values())
 
 
 def test_repair_single_protected_takes_top_quantile():
     pool = two_group_pool([10.0], [4.0, 5.0, 6.0])
     repaired = feldman_repair(pool)
     assert repaired.pool.scores[pool.protected].tolist() == [6.0]
-    assert repaired.replacements[1] == (10.0, 6.0)
+    assert score_changes(pool, repaired)[1] == (10.0, 6.0)
 
 
 def test_repair_replacement_map_records_originals():
     pool = two_group_pool([0.1, 0.3], [0.6, 0.9])
     repaired = feldman_repair(pool)
-    assert repaired.replacements == {1: (0.1, 0.6), 2: (0.3, 0.9)}
+    assert score_changes(pool, repaired) == {1: (0.1, 0.6), 2: (0.3, 0.9)}
 
 
 def test_repair_requires_both_groups():
@@ -58,8 +68,9 @@ def test_repair_tied_protected_scores_rank_by_id():
     )
     repaired = feldman_repair(pool)
     # ascending rank ties break by ascending id: id 3 takes the lower quantile
-    assert repaired.replacements[3] == (0.5, 1.0)
-    assert repaired.replacements[7] == (0.5, 2.0)
+    changes = score_changes(pool, repaired)
+    assert changes[3] == (0.5, 1.0)
+    assert changes[7] == (0.5, 2.0)
 
 
 @settings(max_examples=100, deadline=None)

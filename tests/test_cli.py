@@ -4,9 +4,13 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from fair_topk import cli
+from fair_topk.candidates import CandidatePool
+from fair_topk.experiment import save_candidates
+from fair_topk.ranker import color_blind_topk
 
 
 def run(capsys, *argv):
@@ -301,6 +305,22 @@ def test_rank_json_structure(capsys, tmp_path):
     }
 
 
+def test_rank_color_blind_position_with_ties_and_string_ids(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    ids = [f"c{i}" for i in rng.choice(1000, size=40, replace=False)]
+    pool = CandidatePool(ids, rng.integers(0, 3, 40) / 2.0, rng.random(40) < 0.3)
+    path = tmp_path / "pool.csv"
+    save_candidates(pool, path)
+    full = color_blind_topk(pool, len(pool)).ids.tolist()
+    code, out, _ = run(
+        capsys, "rank", str(path), "--k", "15", "--p", "0.6", "--alpha", "0.1", "--raw"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[4]) for r in rows] == [full.index(r[1]) + 1 for r in rows]
+    assert any(int(r[4]) != int(r[0]) for r in rows)  # the table moved someone
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -389,6 +409,63 @@ def test_prep_xing_pipes_into_rank(capsys, tmp_path):
     code, out, _ = run(capsys, "rank", str(pool), "--k", "1", "--method", "colorblind")
     assert code == 0
     assert out.splitlines()[1].startswith("1,2,")  # id 2 scored 100
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+
+VERIFY = ("verify", "-", "--p", "0.5")
+RANK = ("rank", "{input}", "--k", "1", "--method", "colorblind")
+
+
+@pytest.mark.parametrize(
+    "argv, data, expected",
+    [
+        (VERIFY, b"id,protected,score\n1,1\n", "row 2: no 'score' field"),
+        (VERIFY, b"id,protected,score\n1,1,0.5\n2,0,high\n", "row 3: unparseable score 'high'"),
+        (VERIFY, b"id,protected\n1,1\n1,0\n", "unique"),
+        (VERIFY, b"id,protected,score\n1,1,nan\n", "finite"),
+        (RANK, b"id,score,protected\n1,0.5," + b"1" * 200_000 + b"\n", "row 2: field larger"),
+        (RANK, b"id,score,protected\n1,0.5,1\n2,\xff,0\n", "row 3: not valid UTF-8"),
+        (("experiment", "{input}"), b"name: \xff\npath: pool.csv\nk: 1\n", "utf-8"),
+        (RANK, b"id,score,protected\n1,0.5\n", "row 2: no 'protected' field"),
+        (RANK, b"id,score,protected\n\n1,0.5,1\n2,oops,0\n", "row 4: unparseable score"),
+        (
+            ("prep-xing", "{input}", "--query", "economist"),
+            XING.encode() + b"economist,4,male,3,x,1\n",
+            "row 5: unparseable edu_months 'x'",
+        ),
+    ],
+    ids=[
+        "verify-short-row", "verify-bad-score", "verify-duplicate-ids", "verify-nan-score",
+        "rank-oversized-field", "rank-invalid-utf8", "experiment-invalid-utf8",
+        "rank-short-row", "rank-row-counts-blank-lines", "prep-xing-row-is-file-line",
+    ],
+)
+def test_malformed_input_exits_three_with_one_line(
+    capsys, monkeypatch, tmp_path, argv, data, expected
+):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run(capsys, *(arg.format(input=path) for arg in argv))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_blank_lines_are_skipped(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "pool.csv"
+    path.write_text(POOL.replace("\n", "\n\n", 3) + "\n")
+    code, out, _ = run(capsys, "rank", str(path), "--k", "4", "--p", "0.5", "--raw")
+    assert code == 0
+    path.write_text(POOL)
+    assert out == run(capsys, "rank", str(path), "--k", "4", "--p", "0.5", "--raw")[1]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("id,protected\n\n1,1\n\n2,0\n"))
+    code, out, _ = run(capsys, "verify", "-", "--p", "0.5")
+    assert code == 0
+    assert out.splitlines()[1].startswith("true,2,")
 
 
 # ---------------------------------------------------------------------------

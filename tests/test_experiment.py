@@ -285,3 +285,10 @@ def test_emit_curve_data_shape():
         stderr = float(cells[5])
         assert 0.0 <= analytic <= 1.0
         assert abs(simulated - analytic) <= 5 * max(stderr, 1e-6) + 0.01
+
+
+def test_emit_curve_data_label_rebuilds_the_calibrated_value():
+    # six decimals would print 0.012155, a different (over-alpha) table
+    stream = io.StringIO()
+    emit_curve_data(1500, [0.1], [0.0121547], stream, trials=2, seed=3)
+    assert float(stream.getvalue().splitlines()[1].split(",")[2]) == 0.0121547

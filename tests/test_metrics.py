@@ -156,6 +156,27 @@ def test_rank_drop_counts_positions_lost():
     assert result.worst_candidate == 1
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_drop_matches_full_color_blind_ranking(seed):
+    # tied scores and string ids, whose order is not the numeric one
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    ids = [str(i) for i in rng.choice(1000, size=n, replace=False)]
+    pool = CandidatePool(ids, rng.integers(0, 4, n) / 4.0, rng.random(n) < 0.4)
+    full = color_blind_topk(pool, n).ids.tolist()
+    k = int(rng.integers(1, n + 1))
+    rows = rng.choice(n, size=k, replace=False)
+    for ranking in (pool.take(rows), fair_topk(pool, k, 0.6, 0.1).entries):
+        result = ordering_utility(ranking, pool)
+        if result.worst_candidate is None:
+            assert result.max_rank_drop == 0
+            continue
+        position = ranking.ids.tolist().index(result.worst_candidate) + 1
+        reference = full.index(result.worst_candidate) + 1
+        assert result.max_rank_drop == max(0, position - reference)
+        assert type(result.max_rank_drop) is int  # the JSON report needs a plain int
+
+
 # ---------------------------------------------------------------------------
 # ndcg
 
