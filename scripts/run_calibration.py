@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Calibration tables for the multiple-test correction.
 
-Prints the adjusted significance grid (k x p), optionally the step structure
-of the rejection probability around a chosen cell (the achievable plateau
-values), and analytic-vs-simulated rejection curves.
+Prints the adjusted significance grid (k x p), optionally every table of a
+chosen cell over a range of alpha_adj (each plateau once, with its rejection
+probability), and analytic-vs-simulated rejection curves.
 """
 import argparse
 import sys
 
-import numpy as np
-
-from fair_topk import adjust_significance, emit_curve_data, rejection_probability
+from fair_topk import adjust_significance, emit_curve_data, minimum_counts, rejection_probability
+from fair_topk.adjustment import _alpha_text
+from fair_topk.binomial import table_plateau
 
 
 def grid(ks, ps, alpha):
@@ -21,22 +21,25 @@ def grid(ks, ps, alpha):
         cells = []
         for p in ps:
             r = adjust_significance(k, p, alpha)
-            cell = f"{r.alpha_adj:.4f}" if r.feasible else f"({r.alpha_adj:.4f})"
+            cell = _alpha_text(r.alpha_adj)
+            cell = cell if r.feasible else f"({cell})"
             cells.append(f"{cell:<13}")
         print(f"{k:<7}" + "".join(cells))
     print("(parenthesized: no alpha_adj reaches the target within tolerance;")
     print(" the conservative, under-rejecting value is shown)")
 
 
-def scan(k, p, alpha_lo, alpha_hi, steps):
-    """Show the plateau structure of rejection(alpha_adj): each distinct value."""
-    print(f"step structure of rejection probability, k={k} p={p}")
-    last = None
-    for alpha in np.linspace(alpha_lo, alpha_hi, steps):
-        r = rejection_probability(k, p, float(alpha))
-        if last is None or r != last:
-            print(f"  alpha_adj={alpha:.6f}  rejection={r:.6f}")
-            last = r
+def scan(k, p, alpha_lo, alpha_hi):
+    """List each table built by some alpha_adj in [alpha_lo, alpha_hi] once:
+    its plateau [lower, upper) and its rejection probability.  The next table
+    starts where the plateau ends."""
+    print(f"tables for alpha_adj in [{alpha_lo}, {alpha_hi}], k={k} p={p}")
+    alpha = alpha_lo
+    while alpha <= alpha_hi:
+        lower, upper = table_plateau(minimum_counts(k, p, alpha), p)
+        r = rejection_probability(k, p, alpha)
+        print(f"  alpha_adj in [{lower!r}, {upper!r})  rejection={r:.6f}")
+        alpha = upper
 
 
 def main():
@@ -47,7 +50,7 @@ def main():
         "--ps", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
     )
     parser.add_argument("--scan", type=int, default=None, metavar="K",
-                        help="also scan the rejection step structure at this k")
+                        help="also list every table at this k for alpha_adj up to --alpha")
     parser.add_argument("--scan-p", type=float, default=0.5)
     parser.add_argument("--curves", action="store_true",
                         help="emit analytic-vs-simulated curve CSV on stdout")
@@ -55,7 +58,7 @@ def main():
 
     grid(args.ks, args.ps, args.alpha)
     if args.scan:
-        scan(args.scan, args.scan_p, 0.001, args.alpha, 400)
+        scan(args.scan, args.scan_p, 0.001, args.alpha)
     if args.curves:
         k = args.ks[-1]
         alphas = [adjust_significance(k, p, args.alpha).alpha_adj for p in args.ps[:3]]

@@ -2,9 +2,10 @@
 
 The k per-prefix binomial tests are positively dependent, so a target overall
 rejection probability alpha for fairly-generated rankings requires a smaller
-per-test significance alpha_adj.  The exact rejection probability of a table
-is computed by a survival-vector recursion, and calibration bisects over
-tables: every alpha_adj in a table's plateau builds that same table.
+per-test significance alpha_adj.  A table's exact rejection probability is
+a survival-vector recursion over its blocks, and calibration searches over
+tables by false position: every alpha_adj in a table's plateau builds that
+same table.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .binomial import _check_args, minimum_counts, table_plateau
+from .binomial import _check_args, _pmf_vector, _table_walk, minimum_counts
 from .fairness import compute_mtable, verify_ranked_group_fairness
 
 __all__ = [
@@ -33,39 +34,25 @@ def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
     """Probability that a fairly-generated ranking fails the fairness test.
 
     The generative model draws a protected candidate independently with
-    probability p at each of the k positions.  Walk those positions carrying
-    S, where S[c] is the probability of having exactly c protected so far
-    while every prefix requirement has been met; counts at or above the final
-    requirement m(k) pool in an absorbing top bucket.  At each position the
-    vector takes a Bernoulli step, and where the requirement increments to v
-    the newly infeasible entry S[v-1] is zeroed (entries below v-1 are already
-    zero because requirements grow by at most 1).  The answer is 1 - sum(S).
-    Positions after the last increment only shuffle mass between surviving
-    counts, so the walk stops there.
+    probability p at each of the k positions.  Carry S, where S[j] is the
+    probability of having exactly required + j protected so far while every
+    prefix requirement has been met.  Between two increments of the
+    requirement no count becomes infeasible, so each block of b positions
+    that ends at an increment (the blocks of ``decompose_blocks``) is crossed
+    in one step: S is convolved with the Bin(b, p) pmf, and its first entry,
+    the count the new requirement rules out, is dropped.  The answer is
+    1 - sum(S).  Positions after the last increment only shuffle mass between
+    surviving counts, so the walk stops there.
     """
     _check_args(k, p, alpha_adj, name="alpha_adj")
     return _table_rejection(minimum_counts(k, p, alpha_adj), p)
 
 
 def _table_rejection(minima: np.ndarray, p: float) -> float:
-    top = int(minima[-1])
-    if top == 0:
-        return 0.0
-    q = 1.0 - p
-    increments = np.flatnonzero(np.diff(minima, prepend=0) == 1)
-    last_position = int(increments[-1]) + 1
-    S = np.zeros(top + 1)
-    S[0] = 1.0
-    required = 0
-    for position in range(1, last_position + 1):
-        stepped = S * q
-        stepped[1:] += S[:-1] * p
-        stepped[top] += S[top] * p  # absorbing: the top bucket never steps down
-        req = int(minima[position - 1])
-        if req > required:
-            stepped[req - 1] = 0.0
-            required = req
-        S = stepped
+    increments = np.flatnonzero(np.diff(minima, prepend=0))
+    S = np.ones(1)
+    for block in np.diff(increments, prepend=-1).tolist():
+        S = np.convolve(S, _pmf_vector(block, p))[1:]
     # rounding can leave the survivor sum a hair above 1; never report < 0
     return max(0.0, 1.0 - math.fsum(S))
 
@@ -122,9 +109,12 @@ def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResu
 
     The rejection probability is monotone non-decreasing in alpha_adj (a
     larger per-test significance only raises minimum counts), so the tables
-    are searched by bisection on plateaus: a feasible table moves ``lo`` to
-    its plateau's upper end, an infeasible one moves ``hi`` to its lower end,
-    and the search stops when the two meet.  The returned alpha_adj is the
+    are searched on plateaus: a feasible table moves ``lo`` to its plateau's
+    upper end, an infeasible one moves ``hi`` to its lower end, and the
+    search stops when the two meet.  After alpha_target / k, each probe is
+    the false position between the two tables in (log alpha_adj, log
+    rejection), with Illinois halving of the end kept twice in a row, or
+    ``lo`` when that falls outside [lo, hi).  The returned alpha_adj is the
     shortest decimal in the winning table's plateau.
     """
     _check_args(k, p, alpha_target, name="alpha_target")
@@ -133,8 +123,11 @@ def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResu
     def evaluate(a: float):
         nonlocal evaluations
         evaluations += 1
-        minima = minimum_counts(k, p, a)
-        return minima, _table_rejection(minima, p), table_plateau(minima, p)
+        minima, plateau = _table_walk(k, p, a)
+        return minima, _table_rejection(minima, p), plateau
+
+    def excess(rejection: float) -> float:
+        return math.log(rejection / alpha_target) if rejection > 0.0 else -math.inf
 
     def result(alpha_adj: float, rejection: float) -> AdjustmentResult:
         return AdjustmentResult(
@@ -143,24 +136,34 @@ def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResu
             search_iterations=evaluations,
         )
 
-    _, r_hi, (hi, _) = evaluate(alpha_target)
-    if r_hi <= alpha_target:
-        # No correction needed (or possible): the target itself under-rejects.
-        return result(alpha_target, r_hi)
+    _, r, (hi, _) = evaluate(alpha_target)
+    if r <= alpha_target:  # no correction needed (or possible): the target under-rejects
+        return result(alpha_target, r)
+    lo, f_lo, f_hi, best, last_feasible = SEARCH_FLOOR, -math.inf, excess(r), None, None
     # The union bound (rejection <= k * alpha_adj) makes SEARCH_FLOOR feasible
     # for any sane target; only a target below k * SEARCH_FLOOR needs the check.
     if k * SEARCH_FLOOR > alpha_target:
-        evaluations += 1
-        r_floor = rejection_probability(k, p, SEARCH_FLOOR)
-        if r_floor > alpha_target:
-            return result(SEARCH_FLOOR, r_floor)
-    lo = SEARCH_FLOOR
+        best, r_lo, plateau = evaluate(SEARCH_FLOOR)
+        if r_lo > alpha_target:
+            return result(SEARCH_FLOOR, r_lo)
+        lo, f_lo = plateau[1], excess(r_lo)
+    probe = max(alpha_target / k, SEARCH_FLOOR)  # feasible by the same bound
     while lo < hi:
-        minima, r, (lower, upper) = evaluate((lo + hi) / 2.0)
-        if r <= alpha_target:
-            best, r_lo, plateau, lo = minima, r, (lower, upper), upper
+        minima, r, (lower, upper) = evaluate(probe if lo <= probe < hi else lo)
+        feasible = r <= alpha_target
+        if feasible:
+            best, r_lo, plateau, lo, f_lo = minima, r, (lower, upper), upper, excess(r)
         else:
-            hi = lower
+            hi, f_hi = lower, excess(r)
+        if feasible == last_feasible:  # Illinois: halve the end kept twice in a row
+            f_lo, f_hi = (f_lo, f_hi / 2.0) if feasible else (f_lo / 2.0, f_hi)
+        last_feasible = feasible
+        # where the line through (log lo, f_lo) and (log hi, f_hi) crosses 0;
+        # nan until a feasible table with a non-zero rejection is known
+        step = f_lo / (f_lo - f_hi) if f_lo < f_hi else math.nan
+        probe = lo ** (1.0 - step) * hi ** step
+    if best is None:  # every probe, down to SEARCH_FLOOR's table, was infeasible
+        return result(SEARCH_FLOOR, r)
     alpha_adj = _shortest_inside(max(plateau[0], SEARCH_FLOOR), plateau[1])
     if not np.array_equal(compute_mtable(k, p, alpha_adj).minima, best):
         raise RuntimeError(f"alpha_adj={alpha_adj!r} does not rebuild the calibrated table")

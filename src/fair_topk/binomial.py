@@ -92,7 +92,8 @@ def cdf(x: int, params: BinomialParams) -> float:
     _check_support(x, params)
     if x == params.trials:
         return 1.0
-    return min(1.0, math.fsum(pmf_vector(params)[: x + 1]))
+    # fsum rounds the exact sum once, so term order is free: largest first is fastest
+    return min(1.0, math.fsum(np.sort(pmf_vector(params)[: x + 1])[::-1].tolist()))
 
 
 def percent_point(alpha: float, params: BinomialParams) -> int:
@@ -161,26 +162,28 @@ def _check_args(k: int, p: float, alpha: float, name: str = "alpha") -> None:
         raise ValueError(f"{name} must lie in the open interval (0, 1)")
 
 
-def minimum_counts(k: int, p: float, alpha: float) -> np.ndarray:
-    """percent_point(alpha, (i, p)) for every prefix length i = 1..k, in O(k).
-
-    Walks the trial count, bumping the count while the carried cdf is
-    <= alpha.  Comparisons within ``_BOUNDARY_EPS`` of alpha are re-decided
-    exactly, so the result matches per-position percent_point calls
-    bit-for-bit.
-    """
-    _check_args(k, p, alpha)
+def _table_walk(k: int, p: float, alpha: float):
+    """(minimum_counts(k, p, alpha), its plateau) from one walk of the trial count,
+    bumping the count while the carried cdf is <= alpha; comparisons within
+    ``_BOUNDARY_EPS`` of alpha are re-decided exactly."""
     walk = _Walk(p)
     out = np.empty(k, dtype=np.int64)
+    cdfs, pmfs = np.empty(k), np.empty(k)
     for i in range(k):
         walk.next_trial()
         walk.exact_near(alpha)
         while walk.cdf <= alpha:
             walk.next_count()
             walk.exact_near(alpha)
-        out[i] = walk.c
+        out[i], cdfs[i], pmfs[i] = walk.c, walk.cdf, walk.pmf
     out.setflags(write=False)
-    return out
+    return out, _plateau(out, p, cdfs, pmfs)
+
+
+def minimum_counts(k: int, p: float, alpha: float) -> np.ndarray:
+    """percent_point(alpha, (i, p)) for every prefix length i = 1..k, bit-for-bit, in O(k)."""
+    _check_args(k, p, alpha)
+    return _table_walk(k, p, alpha)[0]
 
 
 def _carried_along(counts, p: float):
@@ -200,25 +203,22 @@ def _carried_along(counts, p: float):
     return cdfs, pmfs
 
 
-def table_plateau(minima, p: float) -> tuple:
-    """The half-open range [lower, upper) of alpha with minimum_counts(k, p, alpha) == minima.
-
-    A table m holds exactly for max_i F(m(i)-1; i, p) <= alpha <
-    min_i F(m(i); i, p), with F(-1) = 0.  Both ends come from one walk along
-    m; every position whose carried value is within ``_BOUNDARY_EPS`` of an
-    end is re-decided with the exact cdf, so the range is the one
-    minimum_counts decides by.
-    """
-    minima = np.asarray(minima)
-    upper, pmfs = _carried_along(minima, p)
+def _plateau(minima: np.ndarray, p: float, upper: np.ndarray, pmfs: np.ndarray) -> tuple:
+    """[max_i F(m(i)-1; i, p), min_i F(m(i); i, p)) from F(m(i); i, p) and
+    Pr(X = m(i); i, p) carried along the table (their difference is F(m(i)-1)).
+    Positions within ``_BOUNDARY_EPS`` of an end are re-decided with the exact
+    cdf, so the range is the one minimum_counts decides by."""
     lower = np.where(minima > 0, upper - pmfs, 0.0)
-
-    def exact(i: int, x: int) -> float:
-        return cdf(int(x), BinomialParams(i + 1, p)) if x >= 0 else 0.0
-
     near_upper = np.flatnonzero(upper < upper.min() + _BOUNDARY_EPS)
     near_lower = np.flatnonzero(lower > lower.max() - _BOUNDARY_EPS)
     return (
-        max(exact(i, minima[i] - 1) for i in near_lower),
-        min(exact(i, minima[i]) for i in near_upper),
+        max(cdf(int(minima[i]) - 1, BinomialParams(i + 1, p)) if minima[i] else 0.0
+            for i in near_lower),
+        min(cdf(int(minima[i]), BinomialParams(i + 1, p)) for i in near_upper),
     )
+
+
+def table_plateau(minima, p: float) -> tuple:
+    """The half-open range [lower, upper) of alpha with minimum_counts(k, p, alpha) == minima:
+    max_i F(m(i)-1; i, p) <= alpha < min_i F(m(i); i, p), with F(-1) = 0."""
+    return _plateau(np.asarray(minima), p, *_carried_along(minima, p))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -142,7 +143,10 @@ def cmd_adjust(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ranking = load_ranking(sys.stdin if args.input == "-" else args.input)
+    source = sys.stdin if args.input == "-" else args.input
+    if hasattr(source, "buffer"):  # stdin is read as strict UTF-8, like a file
+        source = io.TextIOWrapper(source.buffer, encoding="utf-8", newline="")
+    ranking = load_ranking(source)
     alpha = args.alpha
     if args.adjusted:
         cache_dir = resolve_cache_dir(args.cache_dir)

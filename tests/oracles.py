@@ -18,6 +18,7 @@ at -0.273, while ordering 0 needs the weak 0.033 candidate and costs
 -0.565 of selection), so the maxima cannot be asserted independently.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -119,3 +120,33 @@ def enumerated_rejection_probability(k, p, alpha_adj):
     ones = flags.sum(axis=1)
     weights = p ** ones * (1.0 - p) ** (k - ones)
     return float(weights[rejected].sum())
+
+
+def stepwise_rejection_probability(minima, p):
+    """Rejection probability of a table by a survival recursion, one position
+    at a time.
+
+    S[c] is the probability of exactly c protected so far with every prefix
+    requirement met; counts at or above the final requirement pool in an
+    absorbing top bucket.  Each position takes a Bernoulli(p) step, and where
+    the requirement increments to v the newly infeasible entry S[v-1] is
+    zeroed.  The answer is 1 - sum(S).  Positions after the last increment
+    only shuffle mass between surviving counts, so the walk stops there.
+    """
+    minima = np.asarray(minima)
+    top = int(minima[-1])
+    if top == 0:
+        return 0.0
+    S = np.zeros(top + 1)
+    S[0] = 1.0
+    required = 0
+    last = int(np.flatnonzero(np.diff(minima, prepend=0))[-1]) + 1
+    for req in minima[:last].tolist():
+        stepped = S * (1.0 - p)
+        stepped[1:] += S[:-1] * p
+        stepped[top] += S[top] * p  # absorbing: the top bucket never steps down
+        if req > required:
+            stepped[req - 1] = 0.0
+            required = req
+        S = stepped
+    return max(0.0, 1.0 - math.fsum(S))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fair_topk import adjust_significance, rejection_probability, simulate_rejection_rate
 from fair_topk.adjustment import FEASIBILITY_TOL
 from fair_topk.binomial import minimum_counts
+from oracles import stepwise_rejection_probability
 
 
 def enumerated_rejection(k: int, p: float, alpha_adj: float) -> float:
@@ -42,6 +43,17 @@ def test_rejection_matches_enumeration(k, p, alpha_adj):
     ours = rejection_probability(k, p, alpha_adj)
     exact = enumerated_rejection(k, p, alpha_adj)
     assert ours == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [200, 1000, 2000])
+@pytest.mark.parametrize("p", [0.02, 0.1, 0.5, 0.9])
+def test_rejection_matches_the_per_position_recursion(k, p):
+    # the block convolutions against the one-position-at-a-time survival
+    # recursion; at p=0.02 the blocks run to tens of positions
+    for alpha_adj in (1e-6, 1e-4, 0.1 / k, 0.01, 0.05, 0.2):
+        minima = minimum_counts(k, p, alpha_adj)
+        expected = stepwise_rejection_probability(minima, p)
+        assert rejection_probability(k, p, alpha_adj) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_rejection_monotone_in_alpha():

@@ -11,7 +11,7 @@ import pytest
 
 from fair_topk import cli, store
 from fair_topk.adjustment import _shortest_inside, adjust_significance, rejection_probability
-from fair_topk.binomial import BinomialParams, cdf, minimum_counts, table_plateau
+from fair_topk.binomial import BinomialParams, _table_walk, cdf, minimum_counts, table_plateau
 from fair_topk.fairness import compute_mtable
 
 P_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -47,6 +47,17 @@ def test_plateau_matches_per_position_cdf(k, p, alpha):
     if lower > 0.0:
         assert np.array_equal(minimum_counts(k, p, lower), minima)
         assert not np.array_equal(minimum_counts(k, p, math.nextafter(lower, 0.0)), minima)
+    # the walk that builds the table reads the same plateau off its own carried values
+    walked, plateau = _table_walk(k, p, alpha)
+    assert np.array_equal(walked, minima)
+    assert plateau == (lower, upper)
+
+
+@pytest.mark.parametrize("k,evaluations", [(100, 7), (1000, 13), (1500, 11)])
+def test_search_evaluation_counts(k, evaluations):
+    # pinned so that a slower search fails here rather than hiding in timing
+    # noise; bisection on plateaus needed 10, 17 and 19 evaluations
+    assert adjust_significance(k, 0.5, 0.1).search_iterations == evaluations
 
 
 def test_shortest_decimal_inside_a_range():

@@ -455,6 +455,18 @@ def test_malformed_input_exits_three_with_one_line(
     assert expected in err
 
 
+def test_stdin_is_read_as_strict_utf8(capsys, monkeypatch):
+    # a C/POSIX locale opens stdin with surrogateescape, which hands the byte
+    # to the parsers as text (and would accept it as an id)
+    data = b"id,protected\n1,1\n2,\xff\n"
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, "verify", "-", "--p", "0.5")
+    assert code == 3
+    assert out == ""
+    assert "row 3: not valid UTF-8" in err
+
+
 def test_blank_lines_are_skipped(capsys, monkeypatch, tmp_path):
     path = tmp_path / "pool.csv"
     path.write_text(POOL.replace("\n", "\n\n", 3) + "\n")
