@@ -32,8 +32,7 @@ from .experiment import (
     run_experiment,
 )
 from .fairness import compute_mtable, verify_ranked_group_fairness
-from .metrics import _pool_index
-from .ranker import InfeasibleRankingError, _top_indices, color_blind_topk, fair_topk
+from .ranker import InfeasibleRankingError, color_blind_topk, fair_topk
 from .store import cached_adjustment, resolve_cache_dir
 
 EXIT_OK = 0
@@ -211,11 +210,16 @@ def cmd_rank(args) -> int:
         ranking = color_blind_topk(pool, args.k)
 
     # where each ranked candidate would sit in the color-blind order of the
-    # original pool (1-based), so displacement is visible in the output
-    reference_position = np.empty(len(pool), dtype=np.int64)
-    order = _top_indices(pool.scores, pool.ids, len(pool))
-    reference_position[order] = np.arange(1, len(pool) + 1)
-    positions = reference_position[_pool_index(pool, ranking.ids)]
+    # original pool (1-based), so displacement is visible in the output.  Only
+    # rows scoring at least the lowest ranked original score can precede a
+    # ranked candidate, so only those are sorted.
+    original = ranking.scores
+    if args.method == "feldman":  # ranked scores are repaired ones
+        original = pool.scores[np.isin(pool.ids, ranking.ids)]
+    rows = np.flatnonzero(pool.scores >= original.min())
+    ids = pool.ids[rows[np.lexsort((pool.ids[rows], -pool.scores[rows]))]]
+    by_id = np.argsort(ids)
+    positions = by_id[np.searchsorted(ids, ranking.ids, sorter=by_id)] + 1
 
     if args.json:
         _write_json(

@@ -32,7 +32,7 @@ XING_COLUMNS = ("query", "id", "gender", "work_months", "edu_months", "views")
 def _write(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Optional, Sequence, Tuple, Union
@@ -118,21 +119,74 @@ def _read_columns(source, label: str, parsers: dict, optional=()) -> dict:
     return columns
 
 
-def _container(cls, label: str, ids: list, scores: list, flags: list):
+def _container(cls, label: str, ids, scores, flags):
     """Build a pool or ranking from loaded columns; bad values are data errors."""
     try:
-        return cls(np.array(ids, dtype=object), scores, flags)
+        return cls(ids, scores, flags)
     except ValueError as exc:
         raise DataLoadError(f"{label}: {exc}") from None
 
 
-def load_candidates(spec: DatasetSpec) -> CandidatePool:
-    """Read the pool named by the spec; row numbers appear in error messages.
+# Bytes on which csv and numpy's C reader can disagree: quoting; a carriage
+# return, a line end to csv only; NUL, which numpy drops from the end of a
+# string; and \x1c-\x1f, blanks to numpy's number parser but not to Python's.
+_NOT_PLAIN = b'"\r\x00\x1c\x1d\x1e\x1f'
 
-    Scores are negated when higher_is_better is false, so a larger stored
-    quality is always better downstream.
-    """
-    label = str(spec.path)
+
+def _is_plain(fh) -> bool:
+    """Whether a binary file holds none of _NOT_PLAIN and no line longer than
+    csv's field limit, read in pieces no longer than that limit (so only a
+    line that crosses a piece boundary can be longer)."""
+    limit = csv.field_size_limit()
+    line = 0  # bytes of the current line read so far
+    while chunk := fh.read(min(limit, 1 << 16)):
+        if len(chunk.translate(None, _NOT_PLAIN)) != len(chunk):
+            return False
+        end = chunk.find(b"\n")
+        if end < 0:
+            line += len(chunk)
+        elif line + end > limit:
+            return False
+        else:
+            line = len(chunk) - chunk.rfind(b"\n") - 1
+    return line <= limit
+
+
+def _parse_plain_pool(spec: DatasetSpec) -> Optional[tuple]:
+    """(ids, scores, protected) read by numpy's C parser, or None when the
+    file is not one it reads exactly as _read_columns does: ids must all be
+    integers, and a flag must be shorter than its field width, so that none
+    was cut.  Anything loadtxt raises or warns about declines too."""
+    width = len(spec.protected_value) + 1
+    names = (spec.id_column, spec.score_column, spec.protected_column)
+    try:
+        with open(spec.path, newline="", encoding="utf-8") as fh:
+            if not _is_plain(fh.buffer):
+                return None
+            fh.seek(0)
+            header = next(csv.reader([fh.readline()]), [])
+            if not set(names) <= set(header):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(
+                    fh,
+                    dtype=[("id", np.int64), ("score", np.float64), ("flag", f"U{width}")],
+                    delimiter=",",
+                    comments=None,
+                    usecols=[header.index(name) for name in names],
+                    ndmin=1,
+                )
+    except (OSError, ValueError, Warning):
+        return None
+    if (np.char.str_len(rows["flag"]) >= width).any():
+        return None
+    scores = rows["score"] if spec.higher_is_better else -rows["score"]
+    return rows["id"], scores, np.char.strip(rows["flag"]) == spec.protected_value
+
+
+def _stream_pool(spec: DatasetSpec, label: str) -> tuple:
+    """(ids, scores, protected) of the spec's pool by the streaming reader."""
     columns = _read_columns(spec.path, label, {
         spec.id_column: str,
         spec.score_column: float if spec.higher_is_better else lambda text: -float(text),
@@ -141,14 +195,27 @@ def load_candidates(spec: DatasetSpec) -> CandidatePool:
     ids = columns[spec.id_column]
     if not ids:
         raise DataLoadError(f"{label}: no candidate rows")
-    return _container(
-        CandidatePool, label, ids, columns[spec.score_column], columns[spec.protected_column]
-    )
+    return np.array(ids, dtype=object), columns[spec.score_column], columns[spec.protected_column]
+
+
+def load_candidates(spec: DatasetSpec) -> CandidatePool:
+    """Read the pool named by the spec; row numbers appear in error messages.
+
+    Plain files go through numpy's C parser; any other file, and every
+    error message, comes from the streaming reader.  Scores are negated when
+    higher_is_better is false, so a larger stored quality is always better
+    downstream.
+    """
+    label = str(spec.path)
+    columns = _parse_plain_pool(spec)
+    if columns is None:
+        columns = _stream_pool(spec, label)
+    return _container(CandidatePool, label, *columns)
 
 
 def save_candidates(pool: CandidatePool, path) -> None:
     """Write a pool as the minimal id,score,protected schema (round-trips)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("id", "score", "protected"))
         for candidate in pool:
@@ -171,7 +238,9 @@ def load_ranking(source: Union[str, Path, IO]) -> RankedSequence:
     if not ids:
         raise DataLoadError(f"{label}: no rows")
     scores = columns.get("score", [0.0] * len(ids))
-    return _container(RankedSequence, label, ids, scores, columns["protected"])
+    return _container(
+        RankedSequence, label, np.array(ids, dtype=object), scores, columns["protected"]
+    )
 
 
 def load_spec(path) -> DatasetSpec:

@@ -52,7 +52,7 @@ def _parse(row: dict) -> Optional[AdjustmentResult]:
 def _read_rows(path: Path) -> list:
     """Adjustments in the file; bad rows and files in another format are left out."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if tuple(reader.fieldnames or ()) != _ADJUSTMENT_COLUMNS:
                 return []
@@ -80,7 +80,7 @@ def cached_adjustment(
     result = adjust_significance(k, p, alpha)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_ADJUSTMENT_COLUMNS)
         for row in rows + [result]:

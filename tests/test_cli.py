@@ -321,6 +321,29 @@ def test_rank_color_blind_position_with_ties_and_string_ids(capsys, tmp_path):
     assert any(int(r[4]) != int(r[0]) for r in rows)  # the table moved someone
 
 
+@pytest.mark.parametrize("string_ids", [False, True], ids=["int-ids", "string-ids"])
+@pytest.mark.parametrize("method", ["colorblind", "feldman"])
+def test_rank_baseline_color_blind_position_is_in_the_original_pool(
+    capsys, tmp_path, method, string_ids
+):
+    rng = np.random.default_rng(8)
+    raw = rng.choice(1000, size=60, replace=False)
+    ids = [f"c{i}" for i in raw] if string_ids else raw
+    # few distinct scores, so ties decide places; a weak protected group, so
+    # the repair lifts protected candidates from deep in the original order
+    protected = rng.random(60) < 0.3
+    pool = CandidatePool(ids, rng.integers(0, 4, 60) / 2.0 - protected, protected)
+    path = tmp_path / "pool.csv"
+    save_candidates(pool, path)
+    full = [str(i) for i in color_blind_topk(pool, len(pool)).ids.tolist()]
+    code, out, _ = run(capsys, "rank", str(path), "--k", "20", "--method", method)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[4]) for r in rows] == [full.index(r[1]) + 1 for r in rows]
+    if method == "feldman":
+        assert max(int(r[4]) for r in rows) > 30  # the repair moved someone up
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -435,15 +458,19 @@ RANK = ("rank", "{input}", "--k", "1", "--method", "colorblind")
             XING.encode() + b"economist,4,male,3,x,1\n",
             "row 5: unparseable edu_months 'x'",
         ),
+        # numpy's reader alone would accept this score
+        (RANK, b"id,score,protected\n1,0." + b"5" * 200_000 + b",1\n", "row 2: field larger"),
+        (RANK, b"id,score,protected\n", "no candidate rows"),
     ],
     ids=[
         "verify-short-row", "verify-bad-score", "verify-duplicate-ids", "verify-nan-score",
         "rank-oversized-field", "rank-invalid-utf8", "experiment-invalid-utf8",
         "rank-short-row", "rank-row-counts-blank-lines", "prep-xing-row-is-file-line",
+        "rank-oversized-score", "rank-header-only",
     ],
 )
 def test_malformed_input_exits_three_with_one_line(
-    capsys, monkeypatch, tmp_path, argv, data, expected
+    capsys, monkeypatch, recwarn, tmp_path, argv, data, expected
 ):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -453,6 +480,7 @@ def test_malformed_input_exits_three_with_one_line(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
+    assert [str(warning.message) for warning in recwarn] == []  # none would reach stderr
 
 
 def test_stdin_is_read_as_strict_utf8(capsys, monkeypatch):

@@ -1,14 +1,25 @@
 """I/O and experiment-protocol tests on temp files and the seeded tables."""
+import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from fair_topk.datasets import write_german_credit_like
+import fair_topk
+from fair_topk.datasets import write_compas_like, write_german_credit_like
 from fair_topk.experiment import (
     REPORT_COLUMNS,
     DataLoadError,
     DatasetSpec,
+    _container,
+    _is_plain,
+    _parse_plain_pool,
+    _stream_pool,
     emit_curve_data,
     load_candidates,
     load_ranking,
@@ -100,6 +111,157 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert again.scores.tolist() == pool.scores.tolist()  # repr() round-trips
     assert again.protected.tolist() == pool.protected.tolist()
     assert again.ids.tolist() == pool.ids.tolist()  # numeric ids coerce back to ints
+
+
+# Field values on which csv plus Python's int/float and numpy's C reader
+# could disagree; a plain pool must either be declined or read identically.
+ORDINARY = {
+    "id": st.integers(-3, 30).map(str),
+    "score": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-3, 3).map(str),
+    ),
+}
+OTHER_FLAG = {"1": "0", "yes": "no"}
+TRAPS = {
+    "id": st.sampled_from([
+        "1_000", "\u0661\u0662", " 12 ", "+5", "007", "1.0", "12345678901234567890",
+        "#7", "x", "\x1c7", '"8"',
+    ]),
+    "score": st.sampled_from(["nan", "1e500", " 0.5 ", "-0", "1_0.5", "0.5\r"]),
+    "protected": st.sampled_from([" 1 ", "", " yes", "10", "\t1", "1\x00"]),
+}
+SHAPES = ["row"] * 6 + ["blank", "spaces", "short", "extra"]
+
+
+@st.composite
+def pool_files(draw):
+    """(file text, spec overrides) for a small pool; each field is a trap
+    with a per-file chance of 0, 5 or 30 in 100."""
+    order = draw(st.permutations(["id", "score", "protected"]))
+    value = draw(st.sampled_from(sorted(OTHER_FLAG)))
+    ordinary = dict(ORDINARY, protected=st.sampled_from([value, OTHER_FLAG[value]]))
+    chance = draw(st.sampled_from([0, 5, 30]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        values = [
+            draw(TRAPS[name] if draw(st.integers(0, 99)) < chance else ordinary[name])
+            for name in order
+        ]
+        shape = draw(st.sampled_from(SHAPES)) if chance else "row"
+        rows.append({
+            "row": ",".join(values),
+            "blank": "",
+            "spaces": "   ",
+            "short": ",".join(values[:2]),
+            "extra": ",".join(values) + ",more",
+        }[shape])
+    overrides = dict(higher_is_better=draw(st.booleans()), protected_value=value)
+    return "\n".join([",".join(order)] + rows) + "\n", overrides
+
+
+def _pool_or_error(label, columns):
+    try:
+        return _container(CandidatePool, label, *columns)
+    except DataLoadError as exc:
+        return str(exc)
+
+
+ONE = {"higher_is_better": True, "protected_value": "1"}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pool_files())
+# each byte the C parser must decline, where both readers would parse the row
+@example(("id,score,protected\n1,0.5,1\x00\n", ONE))
+@example(("id,score,protected\n\x1c7,0.5,1\n", ONE))
+@example(('note,id,score,protected\n"x,1,0.5,1\ny",2,0.25,0\n', ONE))
+@example(('note,id,score,protected\n"x,1,0.5,1,y",2,0.25,0\n', ONE))
+def test_c_parser_declines_or_matches_the_streaming_reader(tmp_path, drawn):
+    text, overrides = drawn
+    path = tmp_path / "pool.csv"
+    path.write_bytes(text.encode())
+    spec = basic_spec(path, **overrides)
+    plain = _parse_plain_pool(spec)
+    if plain is None:
+        return
+    # the C parser read every row, so the streaming reader must read them too
+    fast = _pool_or_error(str(path), plain)
+    slow = _pool_or_error(str(path), _stream_pool(spec, str(path)))
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    assert fast.ids.dtype == slow.ids.dtype
+    assert fast.ids.tolist() == slow.ids.tolist()
+    assert fast.scores.tobytes() == slow.scores.tobytes()  # -0.0 included
+    assert fast.protected.tolist() == slow.protected.tolist()
+
+
+def test_plain_check_finds_lines_longer_than_the_field_limit(monkeypatch):
+    monkeypatch.setattr(csv, "field_size_limit", lambda: 10)  # pieces of 10 bytes
+    ten = b"x" * 10
+    assert _is_plain(io.BytesIO(b"a\n" + ten + b"\n" + ten + b"\n" + ten))
+    assert not _is_plain(io.BytesIO(b"a\n" + ten + b"x\nb\n"))  # crosses a piece end
+    assert not _is_plain(io.BytesIO(b"a\n" + ten * 3 + b"\n"))
+    assert not _is_plain(io.BytesIO(b"a\n" + ten + b"x"))  # the last line has no newline
+
+
+def test_experiment_pools_take_the_c_parser(tmp_path):
+    write_german_credit_like(tmp_path / "credit.csv")
+    write_compas_like(tmp_path / "compas.csv", n=2000)
+    specs = [
+        basic_spec(tmp_path / "credit.csv", score_column="credit_score",
+                   protected_column="under_25", protected_value="yes"),
+        basic_spec(tmp_path / "compas.csv", score_column="risk_score",
+                   protected_column="race", protected_value="African-American",
+                   higher_is_better=False),
+    ]
+    for spec in specs:
+        plain = _parse_plain_pool(spec)
+        assert plain is not None
+        fast = _container(CandidatePool, "pool", *plain)
+        slow = _container(CandidatePool, "pool", *_stream_pool(spec, "pool"))
+        assert fast.ids.tolist() == slow.ids.tolist()
+        assert fast.scores.tolist() == slow.scores.tolist()
+        assert fast.protected.tolist() == slow.protected.tolist()
+        assert 0 < fast.protected_count < len(fast)
+
+
+def test_c_parser_declines_string_ids_and_cut_flags(tmp_path):
+    assert _parse_plain_pool(basic_spec(write(tmp_path / "d.csv", BASIC))) is None
+    cut = write(tmp_path / "e.csv", "id,score,protected\n1,0.5,10\n")
+    assert _parse_plain_pool(basic_spec(cut)) is None
+    assert load_candidates(basic_spec(cut)).protected.tolist() == [False]
+
+
+def test_writers_and_readers_name_their_encoding(tmp_path):
+    # every text file the package writes or reads is UTF-8 whatever the locale
+    script = """
+import sys
+from pathlib import Path
+from fair_topk.candidates import CandidatePool
+from fair_topk.datasets import write_german_credit_like
+from fair_topk.experiment import DatasetSpec, load_candidates, save_candidates
+from fair_topk.store import cached_adjustment
+
+out = Path(sys.argv[1])
+save_candidates(CandidatePool(["\u00e91", "\u00fc2"], [1.0, 2.0], [True, False]), out / "pool.csv")
+pool = load_candidates(DatasetSpec(name="pool", path=out / "pool.csv", k=1))
+assert pool.ids.tolist() == ["\u00e91", "\u00fc2"], pool.ids
+write_german_credit_like(out / "credit.csv", n=50)
+load_candidates(DatasetSpec(name="credit", path=out / "credit.csv", k=1,
+                            score_column="credit_score", protected_column="under_25"))
+computed = cached_adjustment(10, 0.5, 0.1, out)
+assert cached_adjustment(10, 0.5, 0.1, out).alpha_adj == computed.alpha_adj
+"""
+    source = str(Path(fair_topk.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": source},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------
