@@ -29,13 +29,20 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     repaired pool color-blindly gives the repair baseline.  The map is
     non-decreasing in rank, so within-group order is preserved, and repairing
     an already-repaired pool changes nothing.
+
+    Cost: an id sort and one stable score sort of the protected group, and a
+    sort of the non-protected scores; the ids and flags are shared with the
+    input pool, not validated again.
     """
     protected_rows = np.flatnonzero(pool.protected)
     open_rows = np.flatnonzero(~pool.protected)
     m, n = protected_rows.shape[0], open_rows.shape[0]
     if m == 0 or n == 0:
         raise ValueError("both groups must be non-empty to repair")
-    order = protected_rows[np.lexsort((pool.ids[protected_rows], pool.scores[protected_rows]))]
+    # (score, id) order: ids are unique, so any sort kind orders them the same
+    # way, and one stable sort by score keeps that order within ties
+    by_id = protected_rows[np.argsort(pool.ids[protected_rows])]
+    order = by_id[np.argsort(pool.scores[by_id], kind="stable")]
     ranks = np.arange(1, m + 1, dtype=np.int64)
     target = (ranks * n + m - 1) // m  # ceil(rank * n / m), exactly
     repaired = np.sort(pool.scores[open_rows])[target - 1]

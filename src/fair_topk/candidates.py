@@ -24,12 +24,18 @@ def _id_array(ids) -> np.ndarray:
     return arr
 
 
-def _validate_columns(ids, scores, protected):
-    n = ids.shape[0]
-    if scores.shape != (n,) or protected.shape != (n,):
+def _check_scores(scores, n):
+    if scores.shape != (n,):
         raise ValueError("ids, scores and protected must have equal length")
     if n and not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
+
+
+def _validate_columns(ids, scores, protected):
+    n = ids.shape[0]
+    if protected.shape != (n,):
+        raise ValueError("ids, scores and protected must have equal length")
+    _check_scores(scores, n)
     ordered = np.sort(ids)  # far cheaper than a hash-based unique count at 10^6 ids
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("candidate ids must be unique")
@@ -92,7 +98,17 @@ class CandidatePool(_Columns):
         return RankedSequence(self.ids[idx], self.scores[idx], self.protected[idx])
 
     def with_scores(self, scores) -> "CandidatePool":
-        return CandidatePool(self.ids, scores, self.protected)
+        """The same candidates with new scores.  Only the scores are checked:
+        the ids and flags were validated when this pool was built, and the
+        result shares those read-only arrays."""
+        scores = np.asarray(scores, dtype=np.float64)
+        _check_scores(scores, len(self))
+        scores.setflags(write=False)
+        pool = object.__new__(CandidatePool)
+        object.__setattr__(pool, "ids", self.ids)
+        object.__setattr__(pool, "scores", scores)
+        object.__setattr__(pool, "protected", self.protected)
+        return pool
 
 
 @dataclass(frozen=True)

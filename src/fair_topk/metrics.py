@@ -39,14 +39,25 @@ def normalize_scores(pool: CandidatePool) -> CandidatePool:
     return pool.with_scores((pool.scores - lo) / (hi - lo))
 
 
-def _pool_index(pool: CandidatePool, ids: np.ndarray) -> np.ndarray:
-    """Pool row index of each id (every id must exist in the pool)."""
-    order = np.argsort(pool.ids, kind="stable")
-    pos = np.searchsorted(pool.ids[order], ids)
-    rows = order[np.minimum(pos, len(pool) - 1)]
-    if not np.array_equal(pool.ids[rows], np.asarray(ids)):
-        raise ValueError("ranking contains ids not present in the pool")
-    return rows
+_FOREIGN_IDS = "ranking contains ids not present in the pool"
+
+
+def _ranked_rows(pool: CandidatePool, ids: np.ndarray):
+    """(pool row of each id in the given order, mask of those pool rows).
+
+    One membership pass over the pool finds the rows; only those k ids are
+    sorted to put them in order.  Every id must exist in the pool.
+    """
+    in_ranking = np.isin(pool.ids, ids)
+    hits = np.flatnonzero(in_ranking)
+    if hits.shape[0] != ids.shape[0]:
+        raise ValueError(_FOREIGN_IDS)
+    by_id = hits[np.argsort(pool.ids[hits])]
+    pos = np.searchsorted(pool.ids[by_id], ids)
+    rows = by_id[np.minimum(pos, hits.shape[0] - 1)]
+    if not np.array_equal(pool.ids[rows], ids):
+        raise ValueError(_FOREIGN_IDS)
+    return rows, in_ranking
 
 
 def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -> float:
@@ -70,9 +81,9 @@ def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -
     return min(0.0, least_above - score)
 
 
-def _excluded_utilities(ranking, pool):
-    """(utilities, pool rows) for every pool candidate not in the ranking."""
-    in_ranking = np.isin(pool.ids, ranking.ids)
+def _excluded_utilities(ranking, pool, in_ranking):
+    """(utilities, pool rows) for every pool candidate outside the ranking,
+    given the mask of the pool rows that are in it."""
     rows = np.flatnonzero(~in_ranking)
     least_in_ranking = float(ranking.scores.min())
     return np.minimum(0.0, least_in_ranking - pool.scores[rows]), rows
@@ -80,7 +91,7 @@ def _excluded_utilities(ranking, pool):
 
 def selection_utility(ranking: RankedSequence, pool: CandidatePool) -> float:
     """Worst utility over excluded candidates; 0 when nobody better was left out."""
-    utilities, _ = _excluded_utilities(ranking, pool)
+    utilities, _ = _excluded_utilities(ranking, pool, np.isin(pool.ids, ranking.ids))
     return float(utilities.min()) if utilities.shape[0] else 0.0
 
 
@@ -105,7 +116,10 @@ def ordering_utility(ranking: RankedSequence, pool: CandidatePool) -> OrderingRe
     if value == 0.0:
         return OrderingResult(0.0, 0, None)
     witness = ranking.ids[worst]
-    score = pool.scores[pool.ids == witness][0]
+    rows = np.flatnonzero(pool.ids == witness)
+    if not rows.shape[0]:
+        raise ValueError(_FOREIGN_IDS)
+    score = pool.scores[rows[0]]
     # the witness's 0-based color-blind position: the pool rows ahead of it
     # by (score desc, id asc)
     ahead = int(np.count_nonzero(
@@ -150,20 +164,28 @@ class UtilityReport:
 
 
 def evaluate_ranking(pool: CandidatePool, ranking: RankedSequence) -> UtilityReport:
-    """Assemble the full metric report, min-max normalizing over the pool."""
+    """Assemble the full metric report, min-max normalizing over the pool.
+
+    Cost: O(n + k log k) for a pool of n and a ranking of k.  One np.isin
+    pass locates the ranked rows (numpy sorts instead when the ids are
+    strings or integers too sparse to tabulate); only the k ranked ids are
+    sorted.
+    """
     normalized = normalize_scores(pool)
-    rows = _pool_index(normalized, ranking.ids)
+    rows, in_ranking = _ranked_rows(normalized, ranking.ids)
     normalized_ranking = RankedSequence(
         ranking.ids, normalized.scores[rows], ranking.protected
     )
     ordering = ordering_utility(normalized_ranking, normalized)
-    excluded_utilities, excluded_rows = _excluded_utilities(normalized_ranking, normalized)
+    excluded_utilities, excluded_rows = _excluded_utilities(
+        normalized_ranking, normalized, in_ranking
+    )
     if excluded_utilities.shape[0]:
         sel_value = float(excluded_utilities.min())
         candidates = excluded_rows[excluded_utilities == sel_value]
         sel_witness = (
             None if sel_value == 0.0
-            else sorted(normalized.ids[candidates].tolist())[0]
+            else min(normalized.ids[candidates].tolist())
         )
     else:
         sel_value, sel_witness = 0.0, None

@@ -7,6 +7,7 @@ from fair_topk.adjustment import adjust_significance
 from fair_topk.baselines import feldman_repair, yang_stoyanovich_generate
 from fair_topk.candidates import CandidatePool
 from fair_topk.fairness import verify_ranked_group_fairness
+from pools import tied_pools
 
 
 def two_group_pool(protected_scores, open_scores):
@@ -96,6 +97,28 @@ def test_repair_properties_on_random_pools(seed):
     # idempotence: a second repair changes nothing
     again = feldman_repair(repaired.pool)
     assert np.array_equal(again.pool.scores, repaired.pool.scores)
+
+
+def parent_repaired_scores(pool):
+    """feldman_repair's scores as they were: protected rows put in (score, id)
+    order by np.lexsort."""
+    protected_rows = np.flatnonzero(pool.protected)
+    open_rows = np.flatnonzero(~pool.protected)
+    m, n = protected_rows.shape[0], open_rows.shape[0]
+    order = protected_rows[np.lexsort((pool.ids[protected_rows], pool.scores[protected_rows]))]
+    target = (np.arange(1, m + 1, dtype=np.int64) * n + m - 1) // m
+    scores = pool.scores.copy()
+    scores[order] = np.sort(pool.scores[open_rows])[target - 1]
+    return scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=tied_pools(both_groups=True))
+def test_repair_matches_the_lexsort_order_on_tied_pools(drawn):
+    pool, _ = drawn
+    repaired = feldman_repair(pool).pool
+    assert repaired.scores.tobytes() == parent_repaired_scores(pool).tobytes()
+    assert repaired.ids is pool.ids and repaired.protected is pool.protected
 
 
 # ---------------------------------------------------------------------------

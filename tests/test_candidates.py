@@ -67,6 +67,25 @@ def test_with_scores_replaces_only_scores():
     assert list(pool.scores) == [0.9, 0.8]  # original untouched
 
 
+def test_with_scores_checks_only_the_new_scores():
+    pool = CandidatePool.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+    for bad in ([0.1, np.nan], [np.inf, 0.2]):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            pool.with_scores(bad)
+    with pytest.raises(ValueError, match="ids, scores and protected must have equal length"):
+        pool.with_scores([0.1, 0.2, 0.3])
+
+
+def test_with_scores_shares_the_checked_columns():
+    pool = CandidatePool.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+    swapped = pool.with_scores(np.array([0.1, 0.2]))
+    assert isinstance(swapped, CandidatePool)
+    assert swapped.ids is pool.ids
+    assert swapped.protected is pool.protected
+    with pytest.raises(ValueError):
+        swapped.scores[0] = 0.5
+
+
 def test_from_flags_synthesizes_descending_ranking():
     ranking = RankedSequence.from_flags([True, False, True])
     assert list(ranking.ids) == [1, 2, 3]

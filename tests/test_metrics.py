@@ -1,10 +1,12 @@
 """Utility metric tests: hand-computed examples, report assembly, invariants."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from fair_topk.baselines import feldman_repair
 from fair_topk.candidates import CandidatePool, RankedSequence
 from fair_topk.metrics import (
     UtilityReport,
@@ -16,6 +18,7 @@ from fair_topk.metrics import (
     selection_utility,
 )
 from fair_topk.ranker import color_blind_topk, fair_topk
+from pools import tied_pools
 
 
 def random_pool(rng, n, n_protected=None):
@@ -156,6 +159,13 @@ def test_rank_drop_counts_positions_lost():
     assert result.worst_candidate == 1
 
 
+def test_ordering_utility_rejects_a_witness_outside_the_pool():
+    pool = pool_095_08()
+    ranking = RankedSequence([3, 99], [0.7, 0.8], [0, 0])
+    with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
+        ordering_utility(ranking, pool)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_rank_drop_matches_full_color_blind_ranking(seed):
     # tied scores and string ids, whose order is not the numeric one
@@ -263,6 +273,101 @@ def test_report_rejects_foreign_ids():
     foreign = RankedSequence([1, 99], [0.9, 0.5], [0, 0])
     with pytest.raises(ValueError):
         evaluate_ranking(pool, foreign)
+
+
+@pytest.mark.parametrize("pool_ids, ids", [([1, 2, 3], ["a", "b"]), (["a", "b"], [1])])
+def test_report_rejects_ids_of_another_kind(pool_ids, ids):
+    pool = CandidatePool(pool_ids, np.linspace(0.9, 0.5, len(pool_ids)), [0] * len(pool_ids))
+    foreign = RankedSequence(ids, np.linspace(0.9, 0.5, len(ids)), [0] * len(ids))
+    with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
+        evaluate_ranking(pool, foreign)
+
+
+def parent_evaluate_ranking(pool, ranking):
+    """evaluate_ranking as it was before the membership pass: ranked rows
+    found through a full stable argsort of the pool ids."""
+    lo, hi = float(pool.scores.min()), float(pool.scores.max())
+    scores = np.ones(len(pool)) if hi == lo else (pool.scores - lo) / (hi - lo)
+    normalized = CandidatePool(pool.ids, scores, pool.protected)
+    order = np.argsort(normalized.ids, kind="stable")
+    pos = np.searchsorted(normalized.ids[order], ranking.ids)
+    rows = order[np.minimum(pos, len(pool) - 1)]
+    assert np.array_equal(normalized.ids[rows], ranking.ids)
+    normalized_ranking = RankedSequence(ranking.ids, normalized.scores[rows], ranking.protected)
+    ordering = ordering_utility(normalized_ranking, normalized)
+    excluded = np.flatnonzero(~np.isin(normalized.ids, ranking.ids))
+    least = float(normalized_ranking.scores.min())
+    utilities = np.minimum(0.0, least - normalized.scores[excluded])
+    if utilities.shape[0]:
+        sel_value = float(utilities.min())
+        candidates = excluded[utilities == sel_value]
+        sel_witness = (
+            None if sel_value == 0.0
+            else sorted(normalized.ids[candidates].tolist())[0]
+        )
+    else:
+        sel_value, sel_witness = 0.0, None
+    return UtilityReport(
+        protected_share=float(normalized_ranking.protected.mean()),
+        ndcg=ndcg(normalized_ranking, normalized),
+        ordering_utility_loss=-ordering.utility + 0.0,
+        selection_utility_loss=-sel_value + 0.0,
+        max_rank_drop=ordering.max_rank_drop,
+        worst_ordering_candidate=ordering.worst_candidate,
+        worst_selection_candidate=sel_witness,
+    )
+
+
+def report_bits(report):
+    """Each field with its type, floats as their exact hex form."""
+    return [
+        (type(value), value.hex() if isinstance(value, float) else value)
+        for value in dataclasses.astuple(report)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    drawn=tied_pools(),
+    source=st.sampled_from(["arbitrary", "color-blind", "fair", "repaired"]),
+    share=st.floats(0.05, 1.0),
+)
+def test_report_matches_the_full_argsort_lookup(drawn, source, share):
+    pool, rng = drawn
+    k = max(1, round(share * len(pool)))
+    if source == "arbitrary":
+        ranking = pool.take(rng.choice(len(pool), size=k, replace=False))
+    elif source == "color-blind":
+        ranking = color_blind_topk(pool, k)
+    elif source == "fair":
+        ranking = fair_topk(pool, k, 0.5, 0.1).entries
+    else:
+        # the repaired pool's ranking, evaluated against the original pool
+        assume(0 < pool.protected_count < len(pool))
+        ranking = color_blind_topk(feldman_repair(pool).pool, k)
+    assert report_bits(evaluate_ranking(pool, ranking)) == report_bits(
+        parent_evaluate_ranking(pool, ranking)
+    )
+
+
+def test_report_sorts_nothing_longer_than_the_ranking(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, k = 10**4, 50
+    pool = CandidatePool(rng.permutation(n) + 1, rng.random(n), rng.random(n) < 0.4)
+    ranking = fair_topk(pool, k, 0.6, 0.1).entries
+    lengths = []
+    for name in ("argsort", "lexsort", "sort"):
+        original = getattr(np, name)
+
+        def spy(a, *args, _original=original, **kwargs):
+            arrays = a if isinstance(a, tuple) else (a,)
+            lengths.append(max(np.shape(x)[0] for x in arrays))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    evaluate_ranking(pool, ranking)
+    assert lengths, "evaluate_ranking sorted nothing, so the spies saw nothing"
+    assert max(lengths) <= k
 
 
 # ---------------------------------------------------------------------------
