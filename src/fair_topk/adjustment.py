@@ -15,8 +15,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .binomial import _check_args, _pmf_vector, _table_walk, minimum_counts
-from .fairness import compute_mtable, verify_ranked_group_fairness
+from .binomial import _check_args, _pmf_vector, _table_walk
+from .fairness import MTable, compute_mtable, decompose_blocks, verify_ranked_group_fairness
 
 __all__ = [
     "AdjustmentResult",
@@ -44,15 +44,13 @@ def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
     1 - sum(S).  Positions after the last increment only shuffle mass between
     surviving counts, so the walk stops there.
     """
-    _check_args(k, p, alpha_adj, name="alpha_adj")
-    return _table_rejection(minimum_counts(k, p, alpha_adj), p)
+    return _table_rejection(compute_mtable(k, p, alpha_adj))
 
 
-def _table_rejection(minima: np.ndarray, p: float) -> float:
-    increments = np.flatnonzero(np.diff(minima, prepend=0))
+def _table_rejection(table: MTable) -> float:
     S = np.ones(1)
-    for block in np.diff(increments, prepend=-1).tolist():
-        S = np.convolve(S, _pmf_vector(block, p))[1:]
+    for block in decompose_blocks(table).blocks.tolist():
+        S = np.convolve(S, _pmf_vector(block, table.p))[1:]
     # rounding can leave the survivor sum a hair above 1; never report < 0
     return max(0.0, 1.0 - math.fsum(S))
 
@@ -124,7 +122,7 @@ def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResu
         nonlocal evaluations
         evaluations += 1
         minima, plateau = _table_walk(k, p, a)
-        return minima, _table_rejection(minima, p), plateau
+        return minima, _table_rejection(MTable(k, p, a, minima)), plateau
 
     def excess(rejection: float) -> float:
         return math.log(rejection / alpha_target) if rejection > 0.0 else -math.inf

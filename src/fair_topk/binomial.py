@@ -97,21 +97,13 @@ def cdf(x: int, params: BinomialParams) -> float:
 
 
 def percent_point(alpha: float, params: BinomialParams) -> int:
-    """Smallest integer x with F(x; trials, p) strictly greater than alpha.
-
-    This is the minimum protected count at which a prefix of the given
+    """Smallest integer x with F(x; trials, p) strictly greater than alpha: the
+    last entry of minimum_counts(trials, p, alpha), read from the same walk in
+    O(trials).  It is the minimum protected count at which a prefix of this
     length passes the fair-representation test at significance alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in the open interval (0, 1)")
-    partial = np.cumsum(pmf_vector(params))
-    x = int(np.searchsorted(partial, alpha, side="right"))
-    # cumsum is not compensated; re-decide the boundary with the exact cdf.
-    while x > 0 and cdf(x - 1, params) > alpha:
-        x -= 1
-    while cdf(x, params) <= alpha:
-        x += 1
-    return x
+    counts = minimum_counts(max(params.trials, 1), params.success_prob, alpha)
+    return int(counts[-1]) if params.trials else 0  # F(0; 0, p) = 1 > alpha
 
 
 class _Walk:
@@ -181,7 +173,9 @@ def _table_walk(k: int, p: float, alpha: float):
 
 
 def minimum_counts(k: int, p: float, alpha: float) -> np.ndarray:
-    """percent_point(alpha, (i, p)) for every prefix length i = 1..k, bit-for-bit, in O(k)."""
+    """m(i) for every prefix length i = 1..k: the smallest count x with
+    F(x; i, p) strictly greater than alpha, from one O(k) walk whose decisions
+    within ``_BOUNDARY_EPS`` of alpha are re-decided with ``cdf``."""
     _check_args(k, p, alpha)
     return _table_walk(k, p, alpha)[0]
 

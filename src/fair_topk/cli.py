@@ -26,6 +26,7 @@ from .experiment import (
     DataLoadError,
     DatasetSpec,
     _read_columns,
+    _repaired,
     load_candidates,
     load_ranking,
     load_spec,
@@ -183,7 +184,9 @@ def cmd_verify(args) -> int:
 
 def cmd_rank(args) -> int:
     if args.input is None:
-        generated = yang_stoyanovich_generate(args.k, args.p or 0.5, args.seed)
+        generated = yang_stoyanovich_generate(
+            args.k, 0.5 if args.p is None else args.p, args.seed
+        )
         pool = CandidatePool(generated.ids, generated.scores, generated.protected)
     else:
         spec = DatasetSpec(name=Path(args.input).stem, path=args.input, k=args.k)
@@ -205,7 +208,8 @@ def cmd_rank(args) -> int:
             )
         ranking = result.entries
     elif args.method == "feldman":
-        ranking = color_blind_topk(feldman_repair(pool).pool, args.k)
+        repaired = feldman_repair(pool).pool if args.input is None else _repaired(pool, args.input)
+        ranking = color_blind_topk(repaired, args.k)
     else:
         ranking = color_blind_topk(pool, args.k)
 

@@ -75,6 +75,13 @@ class DatasetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise TypeError(f"k must be an integer, not {self.k!r}")
+        if not isinstance(self.higher_is_better, bool):
+            raise TypeError(f"higher_is_better must be a boolean, not {self.higher_is_better!r}")
+        for name in ("name", "score_column", "protected_column", "protected_value", "id_column"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, not {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -213,6 +220,15 @@ def load_candidates(spec: DatasetSpec) -> CandidatePool:
     return _container(CandidatePool, label, *columns)
 
 
+def _repaired(pool: CandidatePool, path) -> CandidatePool:
+    """The quantile-repaired pool of a pool read from ``path``; a pool with an
+    empty group is a data error that names the file."""
+    try:
+        return feldman_repair(pool).pool
+    except ValueError as exc:
+        raise DataLoadError(f"{path}: {exc}") from None
+
+
 def save_candidates(pool: CandidatePool, path) -> None:
     """Write a pool as the minimal id,score,protected schema (round-trips)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -322,7 +338,7 @@ def run_experiment(
         raise DataLoadError(f"{spec.path}: k={spec.k} exceeds pool size {len(pool)}")
     reference = color_blind_topk(pool, spec.k)
     reference_report = evaluate_ranking(pool, reference)
-    repaired = color_blind_topk(feldman_repair(pool).pool, spec.k)
+    repaired = color_blind_topk(_repaired(pool, spec.path), spec.k)
     repaired_report = evaluate_ranking(pool, repaired)
     rows = []
     for p in spec.p_grid:

@@ -1,10 +1,14 @@
 """Top-k ranking: the color-blind reference and the fairness-constrained ranker.
 
-The constrained ranker walks positions 1..k with one best-first stream per
-group (each stream is the group's k best candidates, obtained by bounded
-selection rather than a full sort).  A protected candidate is forced whenever
-the minimum-count table requires one; otherwise the better head is taken,
-with the protected head winning exact score ties.
+The constrained ranker computes the greedy rule in closed form.  Each group
+contributes a best-first stream of its k best candidates (bounded selection,
+not a full sort).  The greedy rule walks positions 1..k, places a protected
+candidate wherever the minimum-count table requires one more, and otherwise
+takes the better stream head, the protected head winning exact score ties.
+So the j-th protected candidate lands at the first position where either the
+table requires j protected, or every non-protected candidate scoring strictly
+higher has been placed; every other position takes the next non-protected
+candidate.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidatePool, RankedSequence
-from .fairness import MTable, compute_mtable
+from .fairness import MTable, compute_mtable, decompose_blocks, verify_ranked_group_fairness
 
 __all__ = [
     "FairRanking",
@@ -65,7 +69,7 @@ def _top_indices(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     need = k - sure.shape[0]
     tied = np.flatnonzero(scores == boundary)
     if need < tied.shape[0]:
-        tied = tied[np.argsort(ids[tied], kind="stable")[:need]]
+        tied = tied[np.argpartition(ids[tied], need - 1)[:need]]
     chosen = np.concatenate([sure, tied])
     return chosen[np.lexsort((ids[chosen], -scores[chosen]))]
 
@@ -86,11 +90,21 @@ def fair_topk(
 ) -> FairRanking:
     """Best-scoring ranking of length k subject to per-prefix minimum counts.
 
+    The j-th protected candidate goes to position min(inverse[j], j + nb[j]):
+    inverse[j] is the first position whose prefix requires j protected (k+1
+    if none does), and nb[j] counts the non-protected candidates scoring
+    strictly higher, so the protected one wins exact ties.  This is where the
+    greedy walk puts it: on merit it follows the j-1 earlier protected and
+    the nb[j] better non-protected candidates, and the table only ever moves
+    it earlier.  Both sequences strictly increase, so the positions are
+    distinct.  Positions past k are dropped and the rest are filled by the
+    non-protected stream in order.
+
     Within each group candidates appear in score order (so in-group
     monotonicity always holds), and a lower-scored protected candidate is
-    placed only when the minimum-count table requires one — which is what
-    makes the output's selection and ordering utilities optimal among
-    feasible rankings.  Runs in O(n + k log k).
+    placed only when the table requires one — which is what makes the
+    output's selection and ordering utilities optimal among feasible
+    rankings.  Runs in O(n + k log k).
 
     If the pool has too few protected candidates for the table, the remaining
     positions are filled best-effort and ``satisfied_up_to`` reports the last
@@ -99,42 +113,27 @@ def fair_topk(
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must lie in 1..{len(pool)}")
     mtable = compute_mtable(k, p, alpha_adj)
-    minima = mtable.minima
-
     protected_rows = np.flatnonzero(pool.protected)
     open_rows = np.flatnonzero(~pool.protected)
     stream1 = protected_rows[
         _top_indices(pool.scores[protected_rows], pool.ids[protected_rows], k)
-    ] if protected_rows.shape[0] else protected_rows
-    stream0 = open_rows[
-        _top_indices(pool.scores[open_rows], pool.ids[open_rows], k)
-    ] if open_rows.shape[0] else open_rows
-    scores = pool.scores
+    ]
+    stream0 = open_rows[_top_indices(pool.scores[open_rows], pool.ids[open_rows], k)]
 
+    supply = stream1.shape[0]
+    required = np.pad(decompose_blocks(mtable).inverse, (0, k), constant_values=k + 1)
+    beaten = np.searchsorted(-pool.scores[stream0], -pool.scores[stream1])
+    positions = np.minimum(required[:supply], np.arange(1, supply + 1) + beaten)
+    positions = positions[positions <= k]
+    is_protected = np.zeros(k, dtype=bool)
+    is_protected[positions - 1] = True
     chosen = np.empty(k, dtype=np.int64)
-    a = b = 0  # heads of stream1 (protected) / stream0
-    taken_protected = 0
-    for i in range(k):
-        force = taken_protected < minima[i]
-        if force and a < stream1.shape[0]:
-            chosen[i] = stream1[a]
-            a += 1
-            taken_protected += 1
-            continue
-        s1 = scores[stream1[a]] if a < stream1.shape[0] else -np.inf
-        s0 = scores[stream0[b]] if b < stream0.shape[0] else -np.inf
-        if s1 >= s0 and a < stream1.shape[0]:
-            chosen[i] = stream1[a]
-            a += 1
-            taken_protected += 1
-        else:
-            chosen[i] = stream0[b]
-            b += 1
+    chosen[is_protected] = stream1[: positions.shape[0]]
+    chosen[~is_protected] = stream0[: k - positions.shape[0]]
 
     entries = pool.take(chosen)
-    counts = entries.protected_prefix_counts()
-    short = counts < minima
-    satisfied_up_to = int(np.argmax(short)) if short.any() else k
+    verdict = verify_ranked_group_fairness(entries, p, alpha_adj)
+    satisfied_up_to = k if verdict.fair else verdict.first_violation - 1
     if strict and satisfied_up_to < k:
         raise InfeasibleRankingError(satisfied_up_to, k)
     return FairRanking(entries, mtable, satisfied_up_to)

@@ -93,6 +93,48 @@ def best_feasible(pool_scores, pool_protected, k, p, alpha_adj):
     return best_count, best_sel, best_ord
 
 
+def greedy_fair_topk(pool_scores, pool_ids, pool_protected, k, p, alpha_adj):
+    """(row indices, satisfied_up_to) of the constrained ranking, by the
+    greedy walk over positions 1..k.
+
+    Each group's stream is its k best rows by (score desc, id asc).  A
+    protected candidate is forced whenever the prefix holds fewer than the
+    table requires; otherwise the better head is taken, the protected head
+    winning exact score ties.  satisfied_up_to is the length of the longest
+    prefix on which every requirement holds.
+    """
+    scores = np.asarray(pool_scores, dtype=float)
+    protected = np.asarray(pool_protected, dtype=bool)
+    minima = minimum_counts(k, p, alpha_adj)
+    order = np.lexsort((np.asarray(pool_ids), -scores))
+    stream1 = order[protected[order]][:k]
+    stream0 = order[~protected[order]][:k]
+
+    chosen = []
+    a = b = 0  # heads of stream1 (protected) / stream0
+    taken_protected = 0
+    for i in range(k):
+        force = taken_protected < minima[i]
+        if force and a < len(stream1):
+            chosen.append(stream1[a])
+            a += 1
+            taken_protected += 1
+            continue
+        s1 = scores[stream1[a]] if a < len(stream1) else -math.inf
+        s0 = scores[stream0[b]] if b < len(stream0) else -math.inf
+        if s1 >= s0 and a < len(stream1):
+            chosen.append(stream1[a])
+            a += 1
+            taken_protected += 1
+        else:
+            chosen.append(stream0[b])
+            b += 1
+
+    short = np.cumsum(protected[chosen]) < minima
+    satisfied_up_to = int(np.argmax(short)) if short.any() else k
+    return np.array(chosen, dtype=np.int64), satisfied_up_to
+
+
 def evaluate_ranking_raw(order_scores, excluded_scores):
     """(selection, ordering) of a concrete ranking, from first principles."""
     return (

@@ -86,6 +86,8 @@ def test_percent_point_spot_values():
     assert percent_point(0.1, BinomialParams(12, 0.7)) == 6
     # F(0; 1, 0.5) = 0.5 <= 0.6 forces one success
     assert percent_point(0.6, BinomialParams(1, 0.5)) == 1
+    # no trials: F(0; 0, p) = 1 exceeds every alpha
+    assert percent_point(0.6, BinomialParams(0, 0.5)) == 0
 
 
 @pytest.mark.parametrize(
@@ -99,9 +101,14 @@ def test_percent_point_spot_values():
     ],
 )
 def test_minimum_counts_matches_percent_point_exactly(k, p, alpha):
-    fast = minimum_counts(k, p, alpha)
-    slow = np.array([percent_point(alpha, BinomialParams(i, p)) for i in range(1, k + 1)])
-    assert np.array_equal(fast, slow)
+    # percent_point reads the table's last entry, so each prefix is checked
+    # against the definition instead: F(m-1; i, p) <= alpha < F(m; i, p)
+    counts = minimum_counts(k, p, alpha)
+    for i, m in enumerate(counts.tolist(), start=1):
+        params = BinomialParams(i, p)
+        assert m == 0 or cdf(m - 1, params) <= alpha, i
+        assert alpha < cdf(m, params), i
+    assert percent_point(alpha, BinomialParams(k, p)) == counts[-1]
 
 
 @given(

@@ -288,6 +288,14 @@ def test_rank_synthetic_pool_is_seeded(capsys):
     assert first != third
 
 
+def test_rank_synthetic_pool_rejects_p_out_of_range(capsys):
+    # --p 0 is out of range, not a request for the default 0.5
+    code, out, err = run(capsys, "rank", "--k", "3", "--p", "0", "--method", "colorblind")
+    assert code == 2
+    assert out == ""
+    assert "p must lie in the open interval" in err
+
+
 def test_rank_json_structure(capsys, tmp_path):
     path = tmp_path / "pool.csv"
     path.write_text(POOL)
@@ -382,6 +390,44 @@ def test_experiment_csv(capsys, tmp_path):
 def test_experiment_missing_config(capsys, tmp_path):
     code, _, err = run(capsys, "experiment", str(tmp_path / "absent.yaml"))
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("protected_value: 1", "protected_value"),  # an unquoted YAML integer
+        ("k: 2.5", "k"),
+        ('higher_is_better: "no"', "higher_is_better"),  # a string, not false
+    ],
+)
+def test_experiment_config_field_of_wrong_type_exits_three(capsys, tmp_path, line, field):
+    (tmp_path / "pool.csv").write_text(POOL)
+    config = tmp_path / "exp.yaml"
+    fields = {"name": "name: demo", "path": "path: pool.csv", "k": "k: 4"}
+    fields[line.split(":")[0]] = line
+    config.write_text("\n".join(fields.values()) + "\n")
+    code, out, err = run(capsys, "experiment", str(config))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {config}: {field} must be ") and err.count("\n") == 1
+
+
+ONE_GROUP = "id,score,protected\n1,0.9,0\n2,0.8,0\n3,0.7,0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("experiment", "{config}"),
+    ("rank", "{pool}", "--k", "2", "--method", "feldman"),
+])
+def test_repair_of_a_one_group_pool_names_the_file(capsys, tmp_path, argv):
+    pool = tmp_path / "pool.csv"
+    pool.write_text(ONE_GROUP)
+    config = tmp_path / "exp.yaml"
+    config.write_text("name: demo\npath: pool.csv\nk: 2\n")
+    code, out, err = run(capsys, *(arg.format(config=config, pool=pool) for arg in argv))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {pool}: both groups must be non-empty to repair\n"
 
 
 # ---------------------------------------------------------------------------

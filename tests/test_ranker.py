@@ -1,5 +1,6 @@
-"""Ranker tests: color-blind reference behaviour, the constrained walk,
-tie rules, supply exhaustion, and optimality against the brute-force oracle."""
+"""Ranker tests: color-blind reference behaviour, the constrained ranking,
+tie rules, supply exhaustion, parity with the greedy walk, and optimality
+against the brute-force oracle."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from fair_topk.candidates import CandidatePool
 from fair_topk.fairness import compute_mtable, verify_ranked_group_fairness
 from fair_topk.ranker import InfeasibleRankingError, color_blind_topk, fair_topk
 
-from oracles import best_feasible, evaluate_ranking_raw
+from oracles import best_feasible, evaluate_ranking_raw, greedy_fair_topk
+from pools import tied_pools
 
 
 def make_pool(rng, n, n_protected):
@@ -57,7 +59,7 @@ def test_partial_tie_on_boundary_resolved_by_id():
 
 
 # ---------------------------------------------------------------------------
-# constrained walk: worked examples
+# constrained ranking: worked examples
 
 def test_worked_example_forces_protected_at_position_four():
     # m(4) = 1 at p=0.5, alpha_adj=0.1: the best protected candidate displaces
@@ -212,6 +214,52 @@ def test_protected_count_is_max_of_required_and_merit(seed, p, alpha):
     merit_count = int(color_blind_topk(pool, k).protected.sum())
     required = int(minimum_counts(k, p, alpha)[-1])
     assert ranking.entries.protected_count == max(required, merit_count)
+
+
+# ---------------------------------------------------------------------------
+# parity with the greedy walk over positions
+
+def assert_matches_greedy_walk(pool, k, p, alpha):
+    rows, satisfied_up_to = greedy_fair_topk(pool.scores, pool.ids, pool.protected, k, p, alpha)
+    ranking = fair_topk(pool, k, p, alpha)
+    assert np.array_equal(ranking.entries.ids, pool.ids[rows])
+    assert np.array_equal(ranking.entries.scores, pool.scores[rows])
+    assert np.array_equal(ranking.entries.protected, pool.protected[rows])
+    assert ranking.satisfied_up_to == satisfied_up_to
+    if satisfied_up_to < k:
+        with pytest.raises(InfeasibleRankingError) as excinfo:
+            fair_topk(pool, k, p, alpha, strict=True)
+        assert excinfo.value.satisfied_up_to == satisfied_up_to
+    else:
+        strict = fair_topk(pool, k, p, alpha, strict=True)
+        assert np.array_equal(strict.entries.ids, ranking.entries.ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    drawn=tied_pools(),
+    data=st.data(),
+    p=st.sampled_from([0.2, 0.5, 0.7, 0.9]),
+    alpha=st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_matches_greedy_walk_on_tied_pools(drawn, data, p, alpha):
+    pool, _ = drawn
+    n = len(pool)
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="k")
+    assert_matches_greedy_walk(pool, k, p, alpha)
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+@pytest.mark.parametrize(
+    "protected",
+    [[0] * 12, [1] * 12, [0] * 11 + [1], [1, 0] * 6],
+    ids=["no-protected", "all-protected", "one-protected-last", "alternating"],
+)
+def test_matches_greedy_walk_at_the_edges(protected, k):
+    # scores tie in runs of three, so most orders are decided by the tie rules
+    pool = CandidatePool(np.arange(12, 0, -1), np.repeat([4.0, 3.0, 2.0, 1.0], 3), protected)
+    for p in (0.3, 0.5, 0.9):
+        assert_matches_greedy_walk(pool, k, p, 0.1)
 
 
 # ---------------------------------------------------------------------------
