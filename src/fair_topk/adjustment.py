@@ -15,8 +15,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .baselines import _draw_flags, _seed_words
 from .binomial import _check_args, _pmf_vector, _table_walk
-from .fairness import MTable, compute_mtable, decompose_blocks, verify_ranked_group_fairness
+from .fairness import MTable, compute_mtable, decompose_blocks
 
 __all__ = [
     "AdjustmentResult",
@@ -186,20 +187,24 @@ def simulate_rejection_rate(
 ) -> SimulationResult:
     """Monte Carlo rejection rate of the fairness test on generated rankings.
 
-    Each trial draws a synthetic ranking (protected flag Bernoulli(p_generator)
-    per position) and verifies it at (p_test, alpha_adj).  Trial t derives its
-    random stream from (seed, t), so results do not depend on scheduling.
-    """
-    from .baselines import yang_stoyanovich_generate  # local: avoid module cycle
+    Each trial draws the protected flags of a synthetic ranking, one
+    Bernoulli(p_generator) per position as ``yang_stoyanovich_generate``
+    does, and rejects them, as the verifier does, when some prefix holds
+    fewer protected candidates than the (p_test, alpha_adj) table requires.
+    Trial t derives its random stream from (seed, t), so results do not
+    depend on scheduling.
 
+    Cost: the table once, then per trial one generator seeding, one draw of k
+    uniforms and one cumulative count; memory O(k).
+    """
     _check_args(k, p_generator, alpha_adj, name="alpha_adj")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    base = _seed_words(seed)
+    minima = compute_mtable(k, p_test, alpha_adj).minima
     rejections = 0
     for t in range(trials):
-        ranking = yang_stoyanovich_generate(k, p_generator, seed=base + [t])
-        if not verify_ranked_group_fairness(ranking, p_test, alpha_adj).fair:
+        if (np.cumsum(_draw_flags(k, p_generator, base + [t])) < minima).any():
             rejections += 1
     estimate = rejections / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

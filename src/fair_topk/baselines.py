@@ -10,6 +10,8 @@ from .candidates import CandidatePool, RankedSequence
 
 __all__ = ["RepairedPool", "feldman_repair", "yang_stoyanovich_generate"]
 
+_SEED_ERROR = "seed must be a non-negative integer or a sequence of them"
+
 
 @dataclass(frozen=True)
 class RepairedPool:
@@ -63,5 +65,23 @@ def yang_stoyanovich_generate(
         raise ValueError("k must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in the open interval (0, 1)")
-    rng = np.random.default_rng(seed)
-    return RankedSequence.from_flags(rng.random(k) < p)
+    _seed_words(seed)  # only to reject a bad seed with a clear message
+    return RankedSequence.from_flags(_draw_flags(k, p, seed))
+
+
+def _seed_words(seed) -> list:
+    """The seed as a list of non-negative integers (an integer is a list of one)."""
+    words = [seed] if isinstance(seed, (int, np.integer)) else seed
+    try:
+        words = list(words)
+    except TypeError:
+        raise ValueError(_SEED_ERROR) from None
+    if not all(isinstance(w, (int, np.integer)) and w >= 0 for w in words):
+        raise ValueError(_SEED_ERROR)
+    return words
+
+
+def _draw_flags(k: int, p: float, seed) -> np.ndarray:
+    """The generative model: each of k positions is protected with probability
+    p, drawn from ``default_rng(seed)``."""
+    return np.random.default_rng(seed).random(k) < p

@@ -125,10 +125,21 @@ class RankedSequence(_Columns):
     @classmethod
     def from_flags(cls, flags) -> "RankedSequence":
         """Synthetic ranking from protected flags alone: ids are positions,
-        scores descend with position."""
+        scores descend with position.  The ids 1..k are unique by
+        construction, so the columns skip the validating constructor."""
         flags = np.asarray(flags, dtype=bool)
+        if flags.ndim != 1:
+            raise ValueError("flags must be one-dimensional")
         k = flags.shape[0]
-        return cls(np.arange(1, k + 1), np.arange(k, 0, -1, dtype=np.float64), flags)
+        ranking = object.__new__(cls)
+        for name, col in (
+            ("ids", np.arange(1, k + 1, dtype=np.int64)),
+            ("scores", np.arange(k, 0, -1, dtype=np.float64)),
+            ("protected", flags),
+        ):
+            col.setflags(write=False)
+            object.__setattr__(ranking, name, col)
+        return ranking
 
     def protected_prefix_counts(self) -> np.ndarray:
         """Number of protected candidates in each prefix, by prefix length."""

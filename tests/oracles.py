@@ -22,7 +22,10 @@ import math
 
 import numpy as np
 
+from fair_topk.adjustment import SimulationResult
+from fair_topk.baselines import yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
+from fair_topk.fairness import verify_ranked_group_fairness
 
 
 def selection_utility_of(order_scores, excluded_scores):
@@ -192,3 +195,17 @@ def stepwise_rejection_probability(minima, p):
             required = req
         S = stepped
     return max(0.0, 1.0 - math.fsum(S))
+
+
+def per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, seed):
+    """Monte Carlo rejection rate with a ranking object per trial: trial t
+    generates a ranking from seed (seed, t) and runs the full verifier on it."""
+    base = [seed] if isinstance(seed, int) else list(seed)
+    rejections = 0
+    for t in range(trials):
+        ranking = yang_stoyanovich_generate(k, p_generator, seed=base + [t])
+        if not verify_ranked_group_fairness(ranking, p_test, alpha_adj).fair:
+            rejections += 1
+    estimate = rejections / trials
+    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
+    return SimulationResult(estimate, stderr, trials, rejections)

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fair_topk import adjust_significance, rejection_probability, simulate_rejection_rate
 from fair_topk.adjustment import FEASIBILITY_TOL
+from fair_topk.baselines import yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
-from oracles import stepwise_rejection_probability
+from fair_topk.candidates import RankedSequence
+from oracles import per_trial_simulation, stepwise_rejection_probability
 
 
 def enumerated_rejection(k: int, p: float, alpha_adj: float) -> float:
@@ -153,6 +155,21 @@ def test_validation_errors():
         adjust_significance(5, 0.5, 0.0)
     with pytest.raises(ValueError):
         simulate_rejection_rate(5, 0.5, 0.5, 0.1, 0)
+    with pytest.raises(ValueError):
+        simulate_rejection_rate(5, 0.5, 1.0, 0.1, 10)
+    with pytest.raises(ValueError):
+        simulate_rejection_rate(5, 0.5, 0.0, 0.1, 10)
+    with pytest.raises(ValueError):
+        simulate_rejection_rate(0, 0.5, 0.5, 0.1, 10)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "7", [3, -2], [[1]], [0.5]])
+def test_simulation_rejects_bad_seeds(seed):
+    message = "seed must be a non-negative integer or a sequence of them"
+    with pytest.raises(ValueError, match=message):
+        simulate_rejection_rate(5, 0.5, 0.5, 0.1, 10, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        yang_stoyanovich_generate(5, 0.5, seed=seed)
 
 
 def test_simulation_is_deterministic_and_calibrated():
@@ -170,6 +187,46 @@ def test_simulation_is_deterministic_and_calibrated():
 
     c = simulate_rejection_rate(20, 0.5, 0.5, 0.1, trials=4000, seed=12)
     assert c != a  # different stream
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 60),
+    p_generator=st.floats(0.05, 0.95),
+    p_test=st.floats(0.05, 0.95),
+    alpha_adj=st.floats(0.001, 0.5),
+    trials=st.integers(1, 40),
+    seed=st.one_of(
+        st.integers(0, 2**40), st.lists(st.integers(0, 2**40), min_size=1, max_size=3)
+    ),
+)
+def test_simulation_equals_per_trial_verification(
+    k, p_generator, p_test, alpha_adj, trials, seed
+):
+    assume(p_generator != p_test)
+    assert simulate_rejection_rate(
+        k, p_generator, p_test, alpha_adj, trials, seed
+    ) == per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, seed)
+
+
+def test_simulation_builds_no_ranking(monkeypatch):
+    built = []
+    init, from_flags = RankedSequence.__init__, RankedSequence.from_flags
+
+    def counted_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counted_from_flags(flags):
+        built.append("from_flags")
+        return from_flags(flags)
+
+    monkeypatch.setattr(RankedSequence, "__init__", counted_init)
+    monkeypatch.setattr(RankedSequence, "from_flags", staticmethod(counted_from_flags))
+    simulate_rejection_rate(200, 0.3, 0.5, 0.02, trials=50, seed=[4, 2])
+    assert built == []
+    yang_stoyanovich_generate(5, 0.5, seed=1)  # the counter does see a ranking
+    assert built == ["from_flags"]
 
 
 def test_simulation_detects_unfair_generator():

@@ -1,6 +1,8 @@
 """Columnar candidate containers: coercion, validation, derived views."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fair_topk import Candidate, CandidatePool, RankedSequence
 
@@ -91,6 +93,18 @@ def test_from_flags_synthesizes_descending_ranking():
     assert list(ranking.ids) == [1, 2, 3]
     assert list(ranking.scores) == [3.0, 2.0, 1.0]
     assert list(ranking.protected) == [True, False, True]
+
+
+@given(st.lists(st.booleans(), max_size=40))
+def test_from_flags_columns_equal_validated_constructor(flags):
+    k = len(flags)
+    built = RankedSequence.from_flags(flags)
+    validated = RankedSequence(np.arange(1, k + 1), np.arange(k, 0, -1, dtype=np.float64), flags)
+    for name in ("ids", "scores", "protected"):
+        column, expected = getattr(built, name), getattr(validated, name)
+        assert column.dtype == expected.dtype
+        assert np.array_equal(column, expected)
+        assert not column.flags.writeable
 
 
 def test_prefix_counts_and_share():

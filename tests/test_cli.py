@@ -367,6 +367,32 @@ def test_simulate_deterministic(capsys):
     assert 0.0 <= float(cells[5]) <= 1.0
 
 
+def test_simulate_readme_example(capsys):
+    code, out, _ = run(
+        capsys, "simulate", "--k", "100", "--p", "0.5", "--alpha-adj", "0.0207",
+        "--trials", "2000", "--seed", "7",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "100,0.500000,0.020700,2000,235,0.117500,0.007200"
+
+
+def test_simulate_negative_seed_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--k", "5", "--p", "0.5", "--alpha-adj", "0.1",
+        "--trials", "3", "--seed", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "seed must be a non-negative integer" in err
+
+
+def test_rank_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "rank", "--k", "3", "--p", "0.5", "--seed", "-2")
+    assert code == 2
+    assert out == ""
+    assert "seed must be a non-negative integer" in err
+
+
 # ---------------------------------------------------------------------------
 # experiment
 
