@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from fair_topk import adjust_significance, emit_curve_data, minimum_counts, rejection_probability
-from fair_topk.adjustment import _alpha_text
+from fair_topk.output import _alpha_text
 from fair_topk.binomial import table_plateau
 
 

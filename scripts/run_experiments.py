@@ -33,7 +33,7 @@ def main():
         report = run_experiment(spec, cache_dir=cache)
         elapsed = time.perf_counter() - started
         target = out / f"{spec.name}.csv"
-        with open(target, "w", newline="") as fh:
+        with open(target, "w", newline="", encoding="utf-8") as fh:
             report.to_csv(fh)
         print(f"{spec.name}: {len(report.rows)} rows in {elapsed:.1f}s -> {target}")
 

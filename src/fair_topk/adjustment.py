@@ -96,13 +96,6 @@ def _shortest_inside(lower: float, upper: float) -> float:
     return lower
 
 
-def _alpha_text(value: float) -> str:
-    """An alpha_adj names a table, so print text that parses back to the same
-    float: six decimals when they round-trip, else ``repr``."""
-    text = f"{float(value):.6f}"
-    return text if float(text) == value else repr(float(value))
-
-
 def adjust_significance(k: int, p: float, alpha_target: float) -> AdjustmentResult:
     """Find the largest table whose rejection probability meets a target.
 
@@ -197,6 +190,9 @@ def simulate_rejection_rate(
     Cost: the table once, then per trial one generator seeding, one draw of k
     uniforms and one cumulative count; memory O(k).
     """
+    for name, value in (("k", k), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     _check_args(k, p_generator, alpha_adj, name="alpha_adj")
     if trials < 1:
         raise ValueError("trials must be >= 1")

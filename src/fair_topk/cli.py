@@ -2,7 +2,9 @@
 
 Every command writes machine-readable output to stdout (CSV by default,
 ``--json`` for a JSON document) and is deterministic given its flags and
-seed: identical invocations produce byte-identical stdout.
+seed: identical invocations produce byte-identical stdout.  Each output is
+one field schema rendered by ``output.write``, which fixes how every kind
+of value prints in both forms.
 
 Exit codes: 0 ok; 1 unfair or infeasible verdict (under --strict, or an
 infeasible significance adjustment); 2 usage error; 3 data error.
@@ -10,19 +12,18 @@ infeasible significance adjustment); 2 usage error; 3 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .adjustment import AdjustmentResult, _alpha_text, simulate_rejection_rate
+from .adjustment import AdjustmentResult, simulate_rejection_rate
 from .baselines import feldman_repair, yang_stoyanovich_generate
 from .candidates import CandidatePool
 from .datasets import XING_COLUMNS
 from .experiment import (
+    REPORT_FIELDS,
     DataLoadError,
     DatasetSpec,
     _read_columns,
@@ -33,6 +34,7 @@ from .experiment import (
     run_experiment,
 )
 from .fairness import compute_mtable, verify_ranked_group_fairness
+from .output import _alpha_text, dump, prob, record, write
 from .ranker import InfeasibleRankingError, color_blind_topk, fair_topk
 from .store import cached_adjustment, resolve_cache_dir
 
@@ -46,35 +48,22 @@ _EXIT_HELP = (
     "infeasible adjustments); 2 usage error; 3 data error"
 )
 
-def _prob(value: float) -> str:
-    return f"{float(value):.6f}"
+# one (name, kind) schema per output; see output.KINDS
+MTABLE = (("k", "count"), ("p", "prob"), ("alpha", "prob"), ("minima", "text"))
+MTABLE_ROWS = (("position", "count"), ("minimum", "count"))
+ADJUST = (("k", "count"), ("p", "prob"), (("alpha", "alpha_target"), "prob"),
+          ("alpha_adj", "alpha"), ("achieved_rejection", "prob"), ("feasible", "bool"))
+VERIFY = (("fair", "bool"), ("k", "count"), ("alpha_used", "alpha"),
+          ("first_violation", "optional"), ("required", "optional"), ("observed", "optional"))
+RANK = (("position", "count"), ("id", "text"), ("score", "score"), ("protected", "flag"),
+        ("color_blind_position", "count"))
+SIMULATE = (("k", "count"), ("p", "prob"), ("alpha_adj", "alpha"), ("trials", "count"),
+            ("rejections", "count"), ("estimate", "prob"), ("stderr", "prob"))
+PREP_XING = (("id", "text"), ("score", "count"), ("protected", "flag"))
 
 
-def _score(value: float) -> str:
-    # shortest round-trip form: exact, stable, and readable for integers
-    return repr(float(value))
-
-
-def _write_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _write_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def _adjustment_dict(result: AdjustmentResult) -> dict:
-    return {
-        "k": result.k,
-        "p": round(result.p, 6),
-        "alpha_target": round(result.alpha_target, 6),
-        "alpha_adj": float(result.alpha_adj),
-        "achieved_rejection": round(result.achieved_rejection_prob, 6),
-        "feasible": result.feasible,
-    }
+def _adjustment_row(r: AdjustmentResult) -> tuple:
+    return r.k, r.p, r.alpha_target, r.alpha_adj, r.achieved_rejection_prob, r.feasible
 
 
 # ---------------------------------------------------------------- commands
@@ -88,57 +77,34 @@ def cmd_mtable(args) -> int:
         adjustment = cached_adjustment(args.k, args.p, args.alpha, cache_dir)
         if not adjustment.feasible:
             print(
-                f"error: no feasible alpha_adj for k={args.k} p={_prob(args.p)} "
-                f"alpha={_prob(args.alpha)}: best achievable rejection "
-                f"{_prob(adjustment.achieved_rejection_prob)} at "
+                f"error: no feasible alpha_adj for k={args.k} p={prob(args.p)} "
+                f"alpha={prob(args.alpha)}: best achievable rejection "
+                f"{prob(adjustment.achieved_rejection_prob)} at "
                 f"alpha_adj={_alpha_text(adjustment.alpha_adj)}",
                 file=sys.stderr,
             )
             return EXIT_VERDICT
         alpha = adjustment.alpha_adj
-    table = compute_mtable(args.k, args.p, alpha)
+    minima = compute_mtable(args.k, args.p, alpha).minima.tolist()
     if args.json:
-        payload = {
-            "k": args.k,
-            "p": round(args.p, 6),
-            "alpha": round(args.alpha, 6),
-            "minima": [int(m) for m in table.minima],
-        }
+        payload = record(MTABLE, (args.k, args.p, args.alpha, minima))
         if adjustment is not None:
-            payload["adjustment"] = _adjustment_dict(adjustment)
-        _write_json(payload)
+            payload["adjustment"] = record(ADJUST, _adjustment_row(adjustment))
+        dump(sys.stdout, payload)
         return EXIT_OK
     if adjustment is not None:
         print(
             f"# alpha_adj={_alpha_text(adjustment.alpha_adj)} "
-            f"achieved={_prob(adjustment.achieved_rejection_prob)} feasible=true"
+            f"achieved={prob(adjustment.achieved_rejection_prob)} feasible=true"
         )
-    _write_csv(
-        ("position", "minimum"),
-        ((i, int(m)) for i, m in enumerate(table.minima, start=1)),
-    )
+    write(sys.stdout, MTABLE_ROWS, enumerate(minima, start=1), False)
     return EXIT_OK
 
 
 def cmd_adjust(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
     result = cached_adjustment(args.k, args.p, args.alpha, cache_dir)
-    if args.json:
-        _write_json(_adjustment_dict(result))
-    else:
-        _write_csv(
-            ("k", "p", "alpha", "alpha_adj", "achieved_rejection", "feasible"),
-            [
-                (
-                    result.k,
-                    _prob(result.p),
-                    _prob(result.alpha_target),
-                    _alpha_text(result.alpha_adj),
-                    _prob(result.achieved_rejection_prob),
-                    "true" if result.feasible else "false",
-                )
-            ],
-        )
+    write(sys.stdout, ADJUST, _adjustment_row(result), args.json)
     return EXIT_OK if result.feasible else EXIT_VERDICT
 
 
@@ -152,37 +118,17 @@ def cmd_verify(args) -> int:
         cache_dir = resolve_cache_dir(args.cache_dir)
         alpha = cached_adjustment(len(ranking), args.p, args.alpha, cache_dir).alpha_adj
     verdict = verify_ranked_group_fairness(ranking, args.p, alpha)
-    if args.json:
-        _write_json(
-            {
-                "fair": verdict.fair,
-                "k": verdict.k,
-                "alpha_used": float(alpha),
-                "first_violation": verdict.first_violation,
-                "required": verdict.required,
-                "observed": verdict.observed,
-            }
-        )
-    else:
-        _write_csv(
-            ("fair", "k", "alpha_used", "first_violation", "required", "observed"),
-            [
-                (
-                    "true" if verdict.fair else "false",
-                    verdict.k,
-                    _alpha_text(alpha),
-                    "" if verdict.first_violation is None else verdict.first_violation,
-                    "" if verdict.required is None else verdict.required,
-                    "" if verdict.observed is None else verdict.observed,
-                )
-            ],
-        )
+    row = (verdict.fair, verdict.k, alpha,
+           verdict.first_violation, verdict.required, verdict.observed)
+    write(sys.stdout, VERIFY, row, args.json)
     if args.strict and not verdict.fair:
         return EXIT_VERDICT
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
+    if args.method == "fair" and args.p is None:  # before any ingest
+        raise ValueError("--p is required for --method fair")
     if args.input is None:
         generated = yang_stoyanovich_generate(
             args.k, 0.5 if args.p is None else args.p, args.seed
@@ -193,8 +139,6 @@ def cmd_rank(args) -> int:
         pool = load_candidates(spec)
 
     if args.method == "fair":
-        if args.p is None:
-            raise ValueError("--p is required for --method fair")
         alpha_adj = args.alpha
         if not args.raw:
             cache_dir = resolve_cache_dir(args.cache_dir)
@@ -225,33 +169,9 @@ def cmd_rank(args) -> int:
     by_id = np.argsort(ids)
     positions = by_id[np.searchsorted(ids, ranking.ids, sorter=by_id)] + 1
 
-    if args.json:
-        _write_json(
-            [
-                {
-                    "position": i + 1,
-                    "id": ranking.ids[i].item(),
-                    "score": float(ranking.scores[i]),
-                    "protected": bool(ranking.protected[i]),
-                    "color_blind_position": int(positions[i]),
-                }
-                for i in range(len(ranking))
-            ]
-        )
-    else:
-        _write_csv(
-            ("position", "id", "score", "protected", "color_blind_position"),
-            (
-                (
-                    i + 1,
-                    ranking.ids[i].item(),
-                    _score(ranking.scores[i]),
-                    int(ranking.protected[i]),
-                    int(positions[i]),
-                )
-                for i in range(len(ranking))
-            ),
-        )
+    columns = (ranking.ids, ranking.scores, ranking.protected, positions)
+    rows = zip(range(1, len(ranking) + 1), *(column.tolist() for column in columns))
+    write(sys.stdout, RANK, rows, args.json)
     return EXIT_OK
 
 
@@ -259,33 +179,9 @@ def cmd_simulate(args) -> int:
     result = simulate_rejection_rate(
         args.k, args.p, args.p, args.alpha_adj, args.trials, args.seed
     )
-    if args.json:
-        _write_json(
-            {
-                "k": args.k,
-                "p": round(args.p, 6),
-                "alpha_adj": float(args.alpha_adj),
-                "trials": result.trials,
-                "rejections": result.rejections,
-                "estimate": round(result.estimate, 6),
-                "stderr": round(result.stderr, 6),
-            }
-        )
-    else:
-        _write_csv(
-            ("k", "p", "alpha_adj", "trials", "rejections", "estimate", "stderr"),
-            [
-                (
-                    args.k,
-                    _prob(args.p),
-                    _alpha_text(args.alpha_adj),
-                    result.trials,
-                    result.rejections,
-                    _prob(result.estimate),
-                    _prob(result.stderr),
-                )
-            ],
-        )
+    row = (args.k, args.p, args.alpha_adj, result.trials, result.rejections,
+           result.estimate, result.stderr)
+    write(sys.stdout, SIMULATE, row, args.json)
     return EXIT_OK
 
 
@@ -293,24 +189,7 @@ def cmd_experiment(args) -> int:
     spec = load_spec(args.config)
     cache_dir = resolve_cache_dir(args.cache_dir)
     report = run_experiment(spec, cache_dir, strict=args.strict)
-    if args.json:
-        _write_json(
-            [
-                {
-                    "dataset": row.dataset,
-                    "method": row.method,
-                    "p": round(row.p, 6),
-                    "pct_protected_output": round(row.report.protected_share, 6),
-                    "ndcg": round(row.report.ndcg, 6),
-                    "ordering_utility_loss": round(row.report.ordering_utility_loss, 6),
-                    "rank_drop": row.report.max_rank_drop,
-                    "selection_utility_loss": round(row.report.selection_utility_loss, 6),
-                }
-                for row in report.rows
-            ]
-        )
-    else:
-        report.to_csv(sys.stdout)
+    write(sys.stdout, REPORT_FIELDS, [row.values() for row in report.rows], args.json)
     return EXIT_OK
 
 
@@ -330,12 +209,7 @@ def cmd_prep_xing(args) -> int:
     queries = sorted(set(columns["query"]))
     if args.query is None and len(queries) > 1:
         raise DataLoadError(f"{label}: multiple queries {queries}; pick one with --query")
-    if args.json:
-        _write_json(
-            [{"id": i, "score": s, "protected": bool(g)} for i, s, g in out]
-        )
-    else:
-        _write_csv(("id", "score", "protected"), out)
+    write(sys.stdout, PREP_XING, out, args.json)
     return EXIT_OK
 
 

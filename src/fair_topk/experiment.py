@@ -17,10 +17,11 @@ from typing import IO, Optional, Sequence, Tuple, Union
 import numpy as np
 import yaml
 
-from .adjustment import _alpha_text, rejection_probability, simulate_rejection_rate
+from .adjustment import rejection_probability, simulate_rejection_rate
 from .baselines import feldman_repair
 from .candidates import CandidatePool, RankedSequence
 from .metrics import UtilityReport, evaluate_ranking
+from .output import write
 from .ranker import color_blind_topk, fair_topk
 from .store import cached_adjustment
 
@@ -39,16 +40,12 @@ __all__ = [
 ]
 
 METHODS = ("color-blind", "fair", "feldman")
-REPORT_COLUMNS = (
-    "dataset",
-    "method",
-    "p",
-    "pct_protected_output",
-    "ndcg",
-    "ordering_utility_loss",
-    "rank_drop",
-    "selection_utility_loss",
+REPORT_FIELDS = (
+    ("dataset", "text"), ("method", "text"), ("p", "prob"), ("pct_protected_output", "prob"),
+    ("ndcg", "prob"), ("ordering_utility_loss", "prob"), ("rank_drop", "count"),
+    ("selection_utility_loss", "prob"),
 )
+REPORT_COLUMNS = tuple(name for name, _ in REPORT_FIELDS)
 
 TRUTHY = {"1", "true", "yes", "y"}
 FALSY = {"0", "false", "no", "n", ""}
@@ -231,11 +228,9 @@ def _repaired(pool: CandidatePool, path) -> CandidatePool:
 
 def save_candidates(pool: CandidatePool, path) -> None:
     """Write a pool as the minimal id,score,protected schema (round-trips)."""
+    fields = (("id", "text"), ("score", "score"), ("protected", "flag"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("id", "score", "protected"))
-        for candidate in pool:
-            writer.writerow((candidate.id, repr(candidate.score), int(candidate.protected)))
+        write(fh, fields, pool, False)
 
 
 def _boolean(text: str) -> bool:
@@ -298,18 +293,11 @@ class ExperimentRow:
     p: float
     report: UtilityReport
 
-    def as_csv_row(self) -> tuple:
+    def values(self) -> tuple:
+        """The row's values in REPORT_FIELDS order."""
         r = self.report
-        return (
-            self.dataset,
-            self.method,
-            f"{self.p:.6f}",
-            f"{r.protected_share:.6f}",
-            f"{r.ndcg:.6f}",
-            f"{r.ordering_utility_loss:.6f}",
-            r.max_rank_drop,
-            f"{r.selection_utility_loss:.6f}",
-        )
+        return (self.dataset, self.method, self.p, r.protected_share, r.ndcg,
+                r.ordering_utility_loss, r.max_rank_drop, r.selection_utility_loss)
 
 
 @dataclass(frozen=True)
@@ -317,10 +305,7 @@ class ExperimentReport:
     rows: Tuple[ExperimentRow, ...]
 
     def to_csv(self, stream: IO) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in self.rows:
-            writer.writerow(row.as_csv_row())
+        write(stream, REPORT_FIELDS, [row.values() for row in self.rows], False)
 
 
 def run_experiment(
@@ -354,13 +339,9 @@ def run_experiment(
     return ExperimentReport(tuple(rows))
 
 
-CURVE_COLUMNS = (
-    "k",
-    "p",
-    "alpha_adj",
-    "analytic_rejection",
-    "simulated_rejection",
-    "stderr",
+CURVE_FIELDS = (
+    ("k", "count"), ("p", "prob"), ("alpha_adj", "alpha"), ("analytic_rejection", "prob"),
+    ("simulated_rejection", "prob"), ("stderr", "prob"),
 )
 
 
@@ -373,19 +354,10 @@ def emit_curve_data(
     seed: int = 7,
 ) -> None:
     """Analytic vs simulated rejection rate per (p, alpha_adj), as plot-ready CSV."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    for alpha_adj in alpha_adj_grid:
-        for p in p_grid:
-            analytic = rejection_probability(k, p, alpha_adj)
-            simulated = simulate_rejection_rate(k, p, p, alpha_adj, trials, seed)
-            writer.writerow(
-                (
-                    k,
-                    f"{p:.6f}",
-                    _alpha_text(alpha_adj),
-                    f"{analytic:.6f}",
-                    f"{simulated.estimate:.6f}",
-                    f"{simulated.stderr:.6f}",
-                )
-            )
+
+    def row(p: float, alpha_adj: float) -> tuple:
+        analytic = rejection_probability(k, p, alpha_adj)
+        simulated = simulate_rejection_rate(k, p, p, alpha_adj, trials, seed)
+        return k, p, alpha_adj, analytic, simulated.estimate, simulated.stderr
+
+    write(stream, CURVE_FIELDS, (row(p, a) for a in alpha_adj_grid for p in p_grid), False)

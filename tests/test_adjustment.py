@@ -161,6 +161,10 @@ def test_validation_errors():
         simulate_rejection_rate(5, 0.5, 0.0, 0.1, 10)
     with pytest.raises(ValueError):
         simulate_rejection_rate(0, 0.5, 0.5, 0.1, 10)
+    for k, trials, name in [(5.5, 10, "k"), (True, 10, "k"), (5, 2.5, "trials"),
+                            (5, True, "trials"), (5, "10", "trials")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            simulate_rejection_rate(k, 0.5, 0.5, 0.1, trials)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None, "7", [3, -2], [[1]], [0.5]])

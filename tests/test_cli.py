@@ -1,5 +1,6 @@
 """CLI tests: subcommand output, exit codes, determinism.  Everything runs
 in-process through cli.main so stdout/stderr land in capsys."""
+import csv
 import io
 import json
 import sys
@@ -248,6 +249,10 @@ def test_rank_fair_requires_p(capsys, tmp_path):
     code, _, err = run(capsys, "rank", str(path), "--k", "2")
     assert code == 2
     assert "--p is required" in err
+    # the usage error comes before the pool is read: a missing file is not reached
+    code, _, err = run(capsys, "rank", str(tmp_path / "missing.csv"), "--k", "2")
+    assert code == 2
+    assert err == "error: --p is required for --method fair\n"
 
 
 def test_rank_strict_exhaustion_exits_one(capsys, tmp_path):
@@ -617,3 +622,59 @@ def test_truncated_cache_row_is_recomputed(capsys, tmp_path):
 def test_stdout_uses_plain_newlines(capsys):
     _, out, _ = run(capsys, "mtable", "--k", "3", "--p", "0.5", "--alpha", "0.1")
     assert "\r" not in out
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON agree
+
+STRING_POOL = "id,score,protected\nb,0.7,0\na,0.7,1\nc,0.9,0\nd,0.1,1\ne,0.33333333333,0\n"
+INPUTS = {
+    "fair": ANALYST,
+    "unfair": ECONOMIST,
+    "pool": POOL,
+    "strings": STRING_POOL,
+    "xing": XING,
+    "config": "name: demo\npath: pool.csv\nk: 4\np_grid: [0.3, 0.5]\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("adjust", "--k", "1500", "--p", "0.1", "--alpha", "0.1"),
+    ("verify", "{fair}", "--p", "0.4"),
+    ("verify", "{unfair}", "--p", "0.4"),
+    ("rank", "{pool}", "--k", "4", "--p", "0.5"),
+    ("rank", "{strings}", "--k", "4", "--p", "0.5"),
+    ("rank", "{pool}", "--k", "4", "--method", "colorblind"),
+    ("rank", "{strings}", "--k", "4", "--method", "feldman"),
+    ("simulate", "--k", "1500", "--p", "0.1", "--alpha-adj", "0.0121547", "--trials", "20"),
+    ("experiment", "{config}"),
+    ("prep-xing", "{xing}", "--query", "economist"),
+])
+def test_csv_and_json_print_the_same_values(capsys, tmp_path, argv):
+    paths = {}
+    for name, text in INPUTS.items():
+        paths[name] = tmp_path / ("exp.yaml" if name == "config" else f"{name}.csv")
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    _, out, _ = run(capsys, *argv)
+    _, doc, _ = run(capsys, *argv, "--json")
+    header, *rows = csv.reader(io.StringIO(out))
+    records = json.loads(doc)
+    records = [records] if isinstance(records, dict) else records
+    names = [{"alpha": "alpha_target"}.get(name, name) for name in header]
+    assert len(rows) == len(records) > 0
+    for row, record in zip(rows, records):
+        assert sorted(names) == sorted(record)
+        for name, cell in zip(names, row):
+            value = record[name]
+            assert isinstance(value, bool) == (name in ("fair", "feasible", "protected"))
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell in (("true", "1") if value else ("false", "0"))
+            elif name in ("alpha_adj", "alpha_used", "score") and isinstance(value, float):
+                assert float(cell) == value  # text that parses back to the same float
+            elif isinstance(value, float):
+                assert cell == f"{value:.6f}"
+            else:
+                assert cell == str(value)

@@ -264,6 +264,27 @@ assert cached_adjustment(10, 0.5, 0.1, out).alpha_adj == computed.alpha_adj
     assert result.returncode == 0, result.stderr
 
 
+def test_run_experiments_script_names_its_encoding(tmp_path):
+    # the report file is UTF-8 whatever the locale
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    write(data / "pool.csv", "id,score,protected\né1,0.9,0\n2,0.8,1\n3,0.7,0\n4,0.6,1\n")
+    write(data / "demo.yaml", "name: démo\npath: pool.csv\nk: 2\np_grid: [0.5]\n")
+    root = Path(fair_topk.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         str(root / "scripts" / "run_experiments.py"), "--data", str(data), "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(fair_topk.__file__).resolve().parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    lines = (out / "démo.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(REPORT_COLUMNS)
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["démo", "color-blind"], ["démo", "fair"], ["démo", "feldman"],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # ranking loading
 
