@@ -49,7 +49,7 @@ from .ranker import (
     color_blind_topk,
     fair_topk,
 )
-from .store import cached_adjustment, resolve_cache_dir
+from .store import cached_adjustment
 
 __version__ = "0.1.0"
 
@@ -95,7 +95,6 @@ __all__ = [
     "ranked_group_fairness_measure",
     "ranked_utility",
     "rejection_probability",
-    "resolve_cache_dir",
     "run_experiment",
     "save_candidates",
     "selection_utility",

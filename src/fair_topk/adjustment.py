@@ -41,19 +41,21 @@ def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
     requirement no count becomes infeasible, so each block of b positions
     that ends at an increment (the blocks of ``decompose_blocks``) is crossed
     in one step: S is convolved with the Bin(b, p) pmf, and its first entry,
-    the count the new requirement rules out, is dropped.  The answer is
-    1 - sum(S).  Positions after the last increment only shuffle mass between
-    surviving counts, so the walk stops there.
+    the count the new requirement rules out, is dropped.  The answer is the
+    sum of the dropped masses (1 - sum(S) would cancel when it is small).
+    Positions after the last increment only shuffle mass between surviving
+    counts, so the walk stops there.
     """
     return _table_rejection(compute_mtable(k, p, alpha_adj))
 
 
 def _table_rejection(table: MTable) -> float:
-    S = np.ones(1)
+    S, dropped = np.ones(1), []
     for block in decompose_blocks(table).blocks.tolist():
-        S = np.convolve(S, _pmf_vector(block, table.p))[1:]
-    # rounding can leave the survivor sum a hair above 1; never report < 0
-    return max(0.0, 1.0 - math.fsum(S))
+        full = np.convolve(S, _pmf_vector(block, table.p))
+        dropped.append(full[0])
+        S = full[1:]
+    return math.fsum(dropped)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjustment import AdjustmentResult, simulate_rejection_rate
+from .adjustment import AdjustmentResult, adjust_significance, simulate_rejection_rate
 from .baselines import feldman_repair, yang_stoyanovich_generate
 from .candidates import CandidatePool
 from .datasets import XING_COLUMNS
@@ -26,9 +26,9 @@ from .experiment import (
     REPORT_FIELDS,
     DataLoadError,
     DatasetSpec,
+    _pool_for_k,
     _read_columns,
     _repaired,
-    load_candidates,
     load_ranking,
     load_spec,
     run_experiment,
@@ -36,7 +36,6 @@ from .experiment import (
 from .fairness import compute_mtable, verify_ranked_group_fairness
 from .output import _alpha_text, dump, prob, record, write
 from .ranker import InfeasibleRankingError, color_blind_topk, fair_topk
-from .store import cached_adjustment, resolve_cache_dir
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -73,8 +72,7 @@ def cmd_mtable(args) -> int:
     adjustment = None
     alpha = args.alpha
     if args.adjust:
-        cache_dir = resolve_cache_dir(args.cache_dir)
-        adjustment = cached_adjustment(args.k, args.p, args.alpha, cache_dir)
+        adjustment = adjust_significance(args.k, args.p, args.alpha)
         if not adjustment.feasible:
             print(
                 f"error: no feasible alpha_adj for k={args.k} p={prob(args.p)} "
@@ -102,8 +100,7 @@ def cmd_mtable(args) -> int:
 
 
 def cmd_adjust(args) -> int:
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    result = cached_adjustment(args.k, args.p, args.alpha, cache_dir)
+    result = adjust_significance(args.k, args.p, args.alpha)
     write(sys.stdout, ADJUST, _adjustment_row(result), args.json)
     return EXIT_OK if result.feasible else EXIT_VERDICT
 
@@ -115,8 +112,7 @@ def cmd_verify(args) -> int:
     ranking = load_ranking(source)
     alpha = args.alpha
     if args.adjusted:
-        cache_dir = resolve_cache_dir(args.cache_dir)
-        alpha = cached_adjustment(len(ranking), args.p, args.alpha, cache_dir).alpha_adj
+        alpha = adjust_significance(len(ranking), args.p, args.alpha).alpha_adj
     verdict = verify_ranked_group_fairness(ranking, args.p, alpha)
     row = (verdict.fair, verdict.k, alpha,
            verdict.first_violation, verdict.required, verdict.observed)
@@ -135,14 +131,12 @@ def cmd_rank(args) -> int:
         )
         pool = CandidatePool(generated.ids, generated.scores, generated.protected)
     else:
-        spec = DatasetSpec(name=Path(args.input).stem, path=args.input, k=args.k)
-        pool = load_candidates(spec)
+        pool = _pool_for_k(DatasetSpec(name=Path(args.input).stem, path=args.input, k=args.k))
 
     if args.method == "fair":
         alpha_adj = args.alpha
         if not args.raw:
-            cache_dir = resolve_cache_dir(args.cache_dir)
-            alpha_adj = cached_adjustment(args.k, args.p, args.alpha, cache_dir).alpha_adj
+            alpha_adj = adjust_significance(args.k, args.p, args.alpha).alpha_adj
         result = fair_topk(pool, args.k, args.p, alpha_adj, strict=args.strict)
         if result.satisfied_up_to < args.k:
             print(
@@ -187,8 +181,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     spec = load_spec(args.config)
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    report = run_experiment(spec, cache_dir, strict=args.strict)
+    report = run_experiment(spec, args.cache_dir, strict=args.strict)
     write(sys.stdout, REPORT_FIELDS, [row.values() for row in report.rows], args.json)
     return EXIT_OK
 
@@ -216,15 +209,8 @@ def cmd_prep_xing(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(parser, cache=True):
+def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    if cache:
-        parser.add_argument(
-            "--cache-dir",
-            default=None,
-            help="cache directory for adjustments "
-            "(default: $FAIR_TOPK_CACHE_DIR if set, else no cache)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,21 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="test a ranking for ranked group fairness",
         description="Read an ordered ranking CSV (columns id,protected and "
         "optional score; '-' for stdin) and test every prefix against the "
-        "minimum-count table. By default alpha is used as-is (--raw); with "
+        "minimum-count table. By default alpha is used as-is; with "
         "--adjusted it is first corrected for the k dependent prefix tests.",
         epilog=_EXIT_HELP,
     )
     s.add_argument("input", help="ranking CSV path, or - for stdin")
     s.add_argument("--p", type=float, required=True, help="target protected proportion")
     s.add_argument("--alpha", type=float, default=0.1, help="significance level (default 0.1)")
-    mode = s.add_mutually_exclusive_group()
-    mode.add_argument(
+    s.add_argument(
         "--adjusted", action="store_true", help="correct alpha for multiple tests first"
-    )
-    mode.add_argument(
-        "--raw",
-        action="store_true",
-        help="use alpha directly per prefix (default)",
     )
     s.add_argument(
         "--strict", action="store_true", help="exit 1 when the ranking is unfair"
@@ -345,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha-adj", type=float, required=True, help="per-test significance")
     s.add_argument("--trials", type=int, default=10000, help="number of rankings (default 10000)")
     s.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    _add_common(s, cache=False)
+    _add_common(s)
     s.set_defaults(handler=cmd_simulate)
 
     s = sub.add_parser(
@@ -363,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if any grid cell cannot meet its minimum counts",
     )
     _add_common(s)
+    s.add_argument("--cache-dir", help="directory that keeps calibrations between runs")
     s.set_defaults(handler=cmd_experiment)
 
     s = sub.add_parser(
@@ -381,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="female",
         help="gender value marking the protected group (default female)",
     )
-    _add_common(s, cache=False)
+    _add_common(s)
     s.set_defaults(handler=cmd_prep_xing)
 
     return parser

@@ -217,6 +217,14 @@ def load_candidates(spec: DatasetSpec) -> CandidatePool:
     return _container(CandidatePool, label, *columns)
 
 
+def _pool_for_k(spec: DatasetSpec) -> CandidatePool:
+    """The spec's pool, which must hold at least k candidates."""
+    pool = load_candidates(spec)
+    if spec.k > len(pool):
+        raise DataLoadError(f"{spec.path}: k={spec.k} exceeds pool size {len(pool)}")
+    return pool
+
+
 def _repaired(pool: CandidatePool, path) -> CandidatePool:
     """The quantile-repaired pool of a pool read from ``path``; a pool with an
     empty group is a data error that names the file."""
@@ -318,9 +326,7 @@ def run_experiment(
     One report row per (method, p) cell; the color-blind and repaired
     rankings do not depend on p, so their rows repeat across the grid.
     """
-    pool = load_candidates(spec)
-    if spec.k > len(pool):
-        raise DataLoadError(f"{spec.path}: k={spec.k} exceeds pool size {len(pool)}")
+    pool = _pool_for_k(spec)
     reference = color_blind_topk(pool, spec.k)
     reference_report = evaluate_ranking(pool, reference)
     repaired = color_blind_topk(_repaired(pool, spec.path), spec.k)

@@ -91,7 +91,8 @@ def _excluded_utilities(ranking, pool, in_ranking):
 
 def selection_utility(ranking: RankedSequence, pool: CandidatePool) -> float:
     """Worst utility over excluded candidates; 0 when nobody better was left out."""
-    utilities, _ = _excluded_utilities(ranking, pool, np.isin(pool.ids, ranking.ids))
+    _, in_ranking = _ranked_rows(pool, ranking.ids)
+    utilities, _ = _excluded_utilities(ranking, pool, in_ranking)
     return float(utilities.min()) if utilities.shape[0] else 0.0
 
 

@@ -1,36 +1,24 @@
 """On-disk cache for significance adjustments.
 
 An adjustment depends only on (k, p, alpha) — never on a dataset — so it is
-computed once and reused.  The cache directory is chosen explicitly, via the
-FAIR_TOPK_CACHE_DIR environment variable, or not at all.
+computed once and reused.  There is a cache only where a caller names its
+directory.
 """
 from __future__ import annotations
 
 import csv
-import os
 from pathlib import Path
 from typing import Optional
 
 from .adjustment import AdjustmentResult, adjust_significance
 
-__all__ = ["resolve_cache_dir", "cached_adjustment"]
+__all__ = ["cached_adjustment"]
 
-ENV_VAR = "FAIR_TOPK_CACHE_DIR"
 ADJUSTMENTS_FILE = "adjustments.csv"
 # The header names the format.  Older files say "achieved_rejection"; their
 # alpha_adj was never checked to build the largest feasible table: none is read.
 _ADJUSTMENT_COLUMNS = ("k", "p", "alpha", "alpha_adj", "table_rejection", "feasible")
 _FEASIBLE = {"true": True, "false": False}
-
-
-def resolve_cache_dir(explicit: Optional[str] = None) -> Optional[Path]:
-    """Explicit argument wins, then the environment variable, else no cache."""
-    chosen = explicit or os.environ.get(ENV_VAR)
-    if not chosen:
-        return None
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _parse(row: dict) -> Optional[AdjustmentResult]:
@@ -70,7 +58,7 @@ def cached_adjustment(
     rewrites the whole file atomically, dropping rows that do not parse and
     every row of a file in another format.
     """
-    if cache_dir is None:
+    if not cache_dir:
         return adjust_significance(k, p, alpha)
     path = Path(cache_dir) / ADJUSTMENTS_FILE
     rows = _read_rows(path)

@@ -19,6 +19,7 @@ at -0.273, while ordering 0 needs the weak 0.033 candidate and costs
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -195,6 +196,28 @@ def stepwise_rejection_probability(minima, p):
             required = req
         S = stepped
     return max(0.0, 1.0 - math.fsum(S))
+
+
+def exact_rejection_probability(minima, p):
+    """Rejection probability of a table in exact rational arithmetic.
+
+    The survival walk of stepwise_rejection_probability over integers: with
+    p = n/d exactly (as the float is), S[c] is the weight of the surviving
+    flag sequences holding c protected after i positions, over d^i.  Where
+    the requirement rises to v, the weight S[v-1] is rejected; the answer is
+    the Fraction summing every rejected weight over its d^i.
+    """
+    n, d = Fraction(p).as_integer_ratio()
+    S, required, rejected = [1], 0, Fraction(0)
+    for i, req in enumerate(np.asarray(minima).tolist(), 1):
+        stepped = [w * (d - n) for w in S] + [0]
+        for c, w in enumerate(S):
+            stepped[c + 1] += w * n
+        if req > required:
+            rejected += Fraction(stepped[req - 1], d**i)
+            stepped[req - 1], required = 0, req
+        S = stepped
+    return rejected
 
 
 def per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, seed):

@@ -12,7 +12,11 @@ from fair_topk.adjustment import FEASIBILITY_TOL
 from fair_topk.baselines import yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
 from fair_topk.candidates import RankedSequence
-from oracles import per_trial_simulation, stepwise_rejection_probability
+from oracles import (
+    exact_rejection_probability,
+    per_trial_simulation,
+    stepwise_rejection_probability,
+)
 
 
 def enumerated_rejection(k: int, p: float, alpha_adj: float) -> float:
@@ -56,6 +60,16 @@ def test_rejection_matches_the_per_position_recursion(k, p):
         minima = minimum_counts(k, p, alpha_adj)
         expected = stepwise_rejection_probability(minima, p)
         assert rejection_probability(k, p, alpha_adj) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, p, alpha_adj",
+    [(200, 0.5, 1e-10), (400, 0.5, 1e-10), (600, 0.5, 1e-10), (400, 0.25, 1e-8)],
+)
+def test_small_rejection_keeps_its_relative_precision(k, p, alpha_adj):
+    # 1 - sum(survivors) would cancel to about 1e-5 relative error here
+    exact = exact_rejection_probability(minimum_counts(k, p, alpha_adj), p)
+    assert rejection_probability(k, p, alpha_adj) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 def test_rejection_monotone_in_alpha():

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from fair_topk import cli, store
+from fair_topk import cli
 from fair_topk.adjustment import _shortest_inside, adjust_significance, rejection_probability
 from fair_topk.binomial import BinomialParams, _table_walk, cdf, minimum_counts, table_plateau
 from fair_topk.fairness import compute_mtable
@@ -78,7 +78,7 @@ def calibrate_through_cli(capsys, monkeypatch, cells):
         calibrated[k, p, alpha] = adjust_significance(k, p, alpha)
         return calibrated[k, p, alpha]
 
-    monkeypatch.setattr(store, "adjust_significance", spy)
+    monkeypatch.setattr(cli, "adjust_significance", spy)
     for k, p, alpha in cells:
         code = cli.main(["adjust", "--k", str(k), "--p", str(p), "--alpha", str(alpha)])
         row = capsys.readouterr().out.splitlines()[1].split(",")

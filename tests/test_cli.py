@@ -176,12 +176,6 @@ def test_verify_adjusted_uses_corrected_alpha(capsys, monkeypatch):
     assert cells[3] == "10"
 
 
-def test_verify_adjusted_and_raw_conflict(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(ANALYST))
-    code, _, err = run(capsys, "verify", "-", "--p", "0.5", "--adjusted", "--raw")
-    assert code == 2
-
-
 def test_verify_file_input_and_json(capsys, tmp_path):
     path = tmp_path / "r.csv"
     path.write_text(ECONOMIST)
@@ -291,6 +285,16 @@ def test_rank_synthetic_pool_is_seeded(capsys):
         capsys, "rank", "--k", "12", "--p", "0.5", "--seed", "4", "--raw"
     )
     assert first != third
+
+
+@pytest.mark.parametrize("method", ["fair", "colorblind", "feldman"])
+def test_rank_k_above_pool_size_is_data_error(capsys, tmp_path, method):
+    path = tmp_path / "p3.csv"
+    path.write_text("id,score,protected\n1,0.9,0\n2,0.5,1\n3,0.1,0\n")
+    code, out, err = run(capsys, "rank", str(path), "--k", "5", "--p", "0.5", "--method", method)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {path}: k=5 exceeds pool size 3\n"
 
 
 def test_rank_synthetic_pool_rejects_p_out_of_range(capsys):
@@ -594,29 +598,57 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "adjust", "--k", "0", "--p", "0.5", "--alpha", "0.1")[0] == 2
 
 
-def test_cache_dir_env_variable(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--adjust", "--cache-dir", "DIR"),
+    ("adjust", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--cache-dir", "DIR"),
+    ("verify", "-", "--p", "0.5", "--adjusted", "--cache-dir", "DIR"),
+    ("rank", "--k", "10", "--p", "0.5", "--cache-dir", "DIR"),
+    ("verify", "-", "--p", "0.5", "--raw"),
+    ("verify", "-", "--p", "0.5", "--adjusted", "--raw"),
+], ids=["mtable-cache-dir", "adjust-cache-dir", "verify-cache-dir", "rank-cache-dir",
+        "verify-raw", "verify-adjusted-raw"])
+def test_removed_flags_are_unrecognized(capsys, tmp_path, monkeypatch, argv):
+    # one-shot commands calibrate in-process; only experiment keeps a cache
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ANALYST))
     cache = tmp_path / "cache"
-    monkeypatch.setenv("FAIR_TOPK_CACHE_DIR", str(cache))
-    code, _, _ = run(
-        capsys, "mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--adjust"
-    )
-    assert code == 0
-    assert [path.name for path in cache.iterdir()] == ["adjustments.csv"]
+    code, out, err = run(capsys, *(str(cache) if arg == "DIR" else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert not cache.exists()
+
+
+def test_cache_dir_env_variable_is_ignored(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("FAIR_TOPK_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--adjust")[0] == 0
+    assert run(capsys, "rank", "--k", "10", "--p", "0.5")[0] == 0
+    assert list(tmp_path.iterdir()) == []  # no file, here or in the named directory
 
 
 def test_truncated_cache_row_is_recomputed(capsys, tmp_path):
+    (tmp_path / "pool.csv").write_text(POOL)
+    config = tmp_path / "exp.yaml"
+    config.write_text("name: demo\npath: pool.csv\nk: 4\np_grid: [0.5]\nalpha: 0.1\n")
     cache = tmp_path / "c"
     cache.mkdir()
     header = "k,p,alpha,alpha_adj,table_rejection,feasible"
-    (cache / "adjustments.csv").write_text(f"{header}\n100,0.5\n")
-    args = ("adjust", "--k", "100", "--p", "0.5", "--alpha", "0.1")
-    code, out, err = run(capsys, *args, "--cache-dir", str(cache))
+    (cache / "adjustments.csv").write_text(f"{header}\n4,0.5\n")
+    code, out, err = run(capsys, "experiment", str(config), "--cache-dir", str(cache))
     assert code == 0
     assert err == ""  # no traceback
-    assert out == run(capsys, *args)[1]  # same row as without a cache
+    assert out == run(capsys, "experiment", str(config))[1]  # same rows as without a cache
     lines = (cache / "adjustments.csv").read_text().splitlines()
     assert lines[0] == header
-    assert len(lines) == 2 and lines[1].startswith("100,0.5,0.1,0.0203,")
+    assert lines[1:] == ["4,0.5,0.1,0.1,0.0625,false"]  # k=4 rejects 1/16 at best
+
+
+def test_experiment_empty_cache_dir_means_no_cache(capsys, tmp_path, monkeypatch):
+    (tmp_path / "pool.csv").write_text(POOL)
+    (tmp_path / "exp.yaml").write_text("name: demo\npath: pool.csv\nk: 4\np_grid: [0.5]\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "experiment", "exp.yaml", "--cache-dir", "")[0] == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.yaml", "pool.csv"]
 
 
 def test_stdout_uses_plain_newlines(capsys):

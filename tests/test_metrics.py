@@ -268,11 +268,17 @@ def test_report_ordering_witness_is_topmost_worst():
     assert report.max_rank_drop == 2
 
 
-def test_report_rejects_foreign_ids():
-    pool = CandidatePool([1, 2, 3], [0.9, 0.8, 0.7], [0, 1, 0])
-    foreign = RankedSequence([1, 99], [0.9, 0.5], [0, 0])
-    with pytest.raises(ValueError):
-        evaluate_ranking(pool, foreign)
+@pytest.mark.parametrize("measure", [
+    pytest.param(lambda ranking, pool: evaluate_ranking(pool, ranking), id="evaluate_ranking"),
+    pytest.param(ordering_utility, id="ordering_utility"),
+    pytest.param(selection_utility, id="selection_utility"),
+])
+def test_report_rejects_foreign_ids(measure):
+    pool = CandidatePool([0, 1, 2, 3, 4], [0.9, 0.8, 0.7, 0.6, 0.5], [0, 1, 0, 1, 0])
+    # 99 outscores the id above it, so it is ordering_utility's witness too
+    foreign = RankedSequence([0, 99], [0.5, 0.9], [0, 0])
+    with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
+        measure(foreign, pool)
 
 
 @pytest.mark.parametrize("pool_ids, ids", [([1, 2, 3], ["a", "b"]), (["a", "b"], [1])])

@@ -1,23 +1,10 @@
-"""Cache-layer tests: directory resolution, read-through, exact keys, repair."""
+"""Cache-layer tests: read-through, exact keys, repair."""
 import pytest
 
 from fair_topk.adjustment import adjust_significance
-from fair_topk.store import ADJUSTMENTS_FILE, cached_adjustment, resolve_cache_dir
+from fair_topk.store import ADJUSTMENTS_FILE, cached_adjustment
 
 HEADER = "k,p,alpha,alpha_adj,table_rejection,feasible"
-
-
-def test_resolve_cache_dir_precedence(tmp_path, monkeypatch):
-    monkeypatch.delenv("FAIR_TOPK_CACHE_DIR", raising=False)
-    assert resolve_cache_dir(None) is None
-
-    env_dir = tmp_path / "from-env"
-    monkeypatch.setenv("FAIR_TOPK_CACHE_DIR", str(env_dir))
-    assert resolve_cache_dir(None) == env_dir
-    assert env_dir.is_dir()  # created on resolution
-
-    explicit = tmp_path / "explicit"
-    assert resolve_cache_dir(str(explicit)) == explicit
 
 
 def test_cached_adjustment_without_cache_just_computes():
