@@ -32,22 +32,38 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     non-decreasing in rank, so within-group order is preserved, and repairing
     an already-repaired pool changes nothing.
 
-    Cost: an id sort and one stable score sort of the protected group, and a
-    sort of the non-protected scores; the ids and flags are shared with the
-    input pool, not validated again.
+    Cost: an id sort and one default-kind score sort of the protected group,
+    one sort of the int64 keys run * m + place that puts each run of tied
+    scores back in id order (place is the index in id order, so the keys stay
+    below m**2, which int64 holds for m < 3e9), and an in-place sort of the
+    non-protected scores.  Each intermediate is released once used.  The ids
+    and flags are shared with the input pool, not validated again.
     """
-    protected_rows = np.flatnonzero(pool.protected)
-    open_rows = np.flatnonzero(~pool.protected)
-    m, n = protected_rows.shape[0], open_rows.shape[0]
+    by_id = np.flatnonzero(pool.protected)
+    m, n = by_id.shape[0], len(pool) - by_id.shape[0]
     if m == 0 or n == 0:
         raise ValueError("both groups must be non-empty to repair")
-    # (score, id) order: ids are unique, so any sort kind orders them the same
-    # way, and one stable sort by score keeps that order within ties
-    by_id = protected_rows[np.argsort(pool.ids[protected_rows])]
-    order = by_id[np.argsort(pool.scores[by_id], kind="stable")]
+    by_id = by_id[np.argsort(pool.ids[by_id])]
+    tied = pool.scores[by_id]
+    place = np.argsort(tied)
+    tied = tied[place]
+    key = np.empty(m, dtype=np.int64)
+    key[0] = 0
+    np.cumsum(tied[1:] != tied[:-1], out=key[1:])  # the run of each sorted score
+    del tied
+    key *= m
+    key += place
+    del place
+    key.sort()
+    key %= m
+    order = by_id[key]  # protected rows in (score, id) order
+    del by_id, key
+    # an index gather: numpy's boolean-mask gather takes several times as long
+    open_scores = pool.scores[np.flatnonzero(~pool.protected)]
+    open_scores.sort()
     ranks = np.arange(1, m + 1, dtype=np.int64)
-    target = (ranks * n + m - 1) // m  # ceil(rank * n / m), exactly
-    repaired = np.sort(pool.scores[open_rows])[target - 1]
+    repaired = open_scores[(ranks * n + m - 1) // m - 1]  # ceil(rank * n / m) - 1, exactly
+    del open_scores, ranks
     scores = pool.scores.copy()
     scores[order] = repaired
     return RepairedPool(pool.with_scores(scores))

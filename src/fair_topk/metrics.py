@@ -81,19 +81,28 @@ def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -
     return min(0.0, least_above - score)
 
 
-def _excluded_utilities(ranking, pool, in_ranking):
-    """(utilities, pool rows) for every pool candidate outside the ranking,
-    given the mask of the pool rows that are in it."""
-    rows = np.flatnonzero(~in_ranking)
-    least_in_ranking = float(ranking.scores.min())
-    return np.minimum(0.0, least_in_ranking - pool.scores[rows]), rows
+def _selection(ranking, pool, in_ranking):
+    """(worst utility, its witness) over the pool candidates outside the
+    ranking, given the mask of the pool rows that are in it.
+
+    Only excluded candidates scoring above the least ranked score have a
+    negative utility, so only those rows are gathered; every other excluded
+    candidate has utility 0.  The witness is the smallest id attaining the
+    worst utility, and ``(0.0, None)`` means nobody better was left out.
+    """
+    least = float(ranking.scores.min())
+    rows = np.flatnonzero((pool.scores > least) & ~in_ranking)
+    if not rows.shape[0]:
+        return 0.0, None
+    utilities = np.minimum(0.0, least - pool.scores[rows])
+    value = float(utilities.min())
+    return value, min(pool.ids[rows[utilities == value]].tolist())
 
 
 def selection_utility(ranking: RankedSequence, pool: CandidatePool) -> float:
     """Worst utility over excluded candidates; 0 when nobody better was left out."""
     _, in_ranking = _ranked_rows(pool, ranking.ids)
-    utilities, _ = _excluded_utilities(ranking, pool, in_ranking)
-    return float(utilities.min()) if utilities.shape[0] else 0.0
+    return _selection(ranking, pool, in_ranking)[0]
 
 
 class OrderingResult(NamedTuple):
@@ -108,7 +117,14 @@ def ordering_utility(ranking: RankedSequence, pool: CandidatePool) -> OrderingRe
     The witness is the first (topmost) candidate attaining the worst utility;
     its drop is how many positions it lost against the full color-blind
     ranking of the pool (never negative).  Zero loss reports zero drop.
+    Every ranked id must exist in the pool.
     """
+    rows, _ = _ranked_rows(pool, ranking.ids)
+    return _ordering(ranking, pool, rows)
+
+
+def _ordering(ranking, pool, rows) -> OrderingResult:
+    """ordering_utility, given the pool row of each ranked id."""
     prefix_min = np.minimum.accumulate(ranking.scores)
     utilities = np.zeros(len(ranking))
     utilities[1:] = np.minimum(0.0, prefix_min[:-1] - ranking.scores[1:])
@@ -117,10 +133,7 @@ def ordering_utility(ranking: RankedSequence, pool: CandidatePool) -> OrderingRe
     if value == 0.0:
         return OrderingResult(0.0, 0, None)
     witness = ranking.ids[worst]
-    rows = np.flatnonzero(pool.ids == witness)
-    if not rows.shape[0]:
-        raise ValueError(_FOREIGN_IDS)
-    score = pool.scores[rows[0]]
+    score = pool.scores[rows[worst]]
     # the witness's 0-based color-blind position: the pool rows ahead of it
     # by (score desc, id asc)
     ahead = int(np.count_nonzero(
@@ -170,26 +183,17 @@ def evaluate_ranking(pool: CandidatePool, ranking: RankedSequence) -> UtilityRep
     Cost: O(n + k log k) for a pool of n and a ranking of k.  One np.isin
     pass locates the ranked rows (numpy sorts instead when the ids are
     strings or integers too sparse to tabulate); only the k ranked ids are
-    sorted.
+    sorted.  Selection utility gathers only the excluded rows that outscore
+    the least ranked candidate, and the ids are checked once, not again by
+    the ordering metric.
     """
     normalized = normalize_scores(pool)
     rows, in_ranking = _ranked_rows(normalized, ranking.ids)
     normalized_ranking = RankedSequence(
         ranking.ids, normalized.scores[rows], ranking.protected
     )
-    ordering = ordering_utility(normalized_ranking, normalized)
-    excluded_utilities, excluded_rows = _excluded_utilities(
-        normalized_ranking, normalized, in_ranking
-    )
-    if excluded_utilities.shape[0]:
-        sel_value = float(excluded_utilities.min())
-        candidates = excluded_rows[excluded_utilities == sel_value]
-        sel_witness = (
-            None if sel_value == 0.0
-            else min(normalized.ids[candidates].tolist())
-        )
-    else:
-        sel_value, sel_witness = 0.0, None
+    ordering = _ordering(normalized_ranking, normalized, rows)
+    sel_value, sel_witness = _selection(normalized_ranking, normalized, in_ranking)
     return UtilityReport(
         protected_share=float(normalized_ranking.protected.mean()),
         ndcg=ndcg(normalized_ranking, normalized),

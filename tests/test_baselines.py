@@ -121,6 +121,25 @@ def test_repair_matches_the_lexsort_order_on_tied_pools(drawn):
     assert repaired.ids is pool.ids and repaired.protected is pool.protected
 
 
+def test_repair_makes_no_stable_sort(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 10**4
+    scores = rng.integers(0, n // 10, n) / (n // 10)
+    pool = CandidatePool(rng.permutation(n) + 1, scores, rng.random(n) < 0.4)
+    calls = []
+    for name in ("argsort", "lexsort", "sort"):
+        original = getattr(np, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, kwargs.get("kind")))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    feldman_repair(pool)
+    assert calls, "feldman_repair sorted nothing, so the spies saw nothing"
+    assert not [c for c in calls if c[0] == "lexsort" or c[1] in ("stable", "mergesort")]
+
+
 # ---------------------------------------------------------------------------
 # synthetic fair-ranking generator
 

@@ -1,6 +1,7 @@
 """Utility metric tests: hand-computed examples, report assembly, invariants."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,10 +276,12 @@ def test_report_ordering_witness_is_topmost_worst():
 ])
 def test_report_rejects_foreign_ids(measure):
     pool = CandidatePool([0, 1, 2, 3, 4], [0.9, 0.8, 0.7, 0.6, 0.5], [0, 1, 0, 1, 0])
-    # 99 outscores the id above it, so it is ordering_utility's witness too
-    foreign = RankedSequence([0, 99], [0.5, 0.9], [0, 0])
-    with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
-        measure(foreign, pool)
+    for foreign in (
+        RankedSequence([0, 99], [0.5, 0.9], [0, 0]),  # 99 is the ordering witness
+        RankedSequence([0, 99], [0.9, 0.5], [0, 0]),  # no ordering loss, no witness
+    ):
+        with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
+            measure(foreign, pool)
 
 
 @pytest.mark.parametrize("pool_ids, ids", [([1, 2, 3], ["a", "b"]), (["a", "b"], [1])])
@@ -374,6 +377,26 @@ def test_report_sorts_nothing_longer_than_the_ranking(monkeypatch):
     evaluate_ranking(pool, ranking)
     assert lengths, "evaluate_ranking sorted nothing, so the spies saw nothing"
     assert max(lengths) <= k
+
+
+def test_repair_and_report_stay_within_their_memory_budgets():
+    rng = np.random.default_rng(8)
+    n = 2 * 10**5
+    scores = rng.integers(0, n // 10, n) / (n // 10)  # about ten rows per score
+    pool = CandidatePool(rng.permutation(n), scores, rng.random(n) < 0.4)
+    ranking = fair_topk(pool, 1500, 0.5, 0.1).entries
+
+    def peak_bytes_per_row(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / n
+        finally:
+            tracemalloc.stop()
+
+    # the repaired scores alone hold 8 bytes a row
+    assert peak_bytes_per_row(lambda: feldman_repair(pool)) <= 26.0
+    assert peak_bytes_per_row(lambda: evaluate_ranking(pool, ranking)) <= 30.0
 
 
 # ---------------------------------------------------------------------------
