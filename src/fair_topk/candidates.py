@@ -14,56 +14,88 @@ class Candidate(NamedTuple):
 
 
 def _id_array(ids) -> np.ndarray:
-    """Coerce ids to a homogeneous array: integers when possible, else strings."""
+    """Coerce ids to a homogeneous array: integers when every id is exactly
+    an integer in int64 range, else their text."""
     arr = np.asarray(ids)
-    if arr.dtype == object or arr.dtype.kind not in "iuUS":
-        try:
-            arr = arr.astype(np.int64)
-        except (TypeError, ValueError, OverflowError):
-            arr = arr.astype(str)
-    return arr
+    if arr.ndim != 1:
+        raise ValueError("ids must be one-dimensional")
+    if arr.dtype.kind in "iuUS":
+        return arr
+    try:
+        with np.errstate(invalid="ignore"):  # nan and out-of-range floats fail the check
+            ints = arr.astype(np.int64)
+        if (ints == arr.astype(np.float64)).all():  # 1.0 is the integer 1; 1.5 is not
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return arr.astype(str)
 
 
-def _check_scores(scores, n):
+def _score_array(scores, n) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (n,):
         raise ValueError("ids, scores and protected must have equal length")
-    if n and not np.isfinite(scores).all():
+    if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
+    return scores
 
 
-def _validate_columns(ids, scores, protected):
-    n = ids.shape[0]
-    if protected.shape != (n,):
+def _flag_array(protected, n) -> np.ndarray:
+    """Protected flags as booleans: only booleans and the numbers 0 and 1 are flags."""
+    arr = np.asarray(protected)
+    if arr.shape != (n,):
         raise ValueError("ids, scores and protected must have equal length")
-    _check_scores(scores, n)
-    ordered = np.sort(ids)  # far cheaper than a hash-based unique count at 10^6 ids
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("candidate ids must be unique")
+    if arr.dtype.kind == "b":
+        return arr
+    flags = arr.astype(bool) if arr.dtype.kind in "iufO" else None
+    if flags is None or not (flags == arr).all():
+        raise ValueError("protected flags must be booleans or the numbers 0 and 1")
+    return flags
 
 
+@dataclass(frozen=True)
 class _Columns:
-    """Shared coercion/iteration for the two columnar containers."""
+    """The columns of a pool or ranking, checked once when built and read-only after."""
 
     ids: np.ndarray
     scores: np.ndarray
     protected: np.ndarray
 
-    def _coerce(self):
-        object.__setattr__(self, "ids", _id_array(self.ids))
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
-        object.__setattr__(self, "protected", np.asarray(self.protected, dtype=bool))
-        _validate_columns(self.ids, self.scores, self.protected)
-        for col in (self.ids, self.scores, self.protected):
+    def __post_init__(self):
+        ids = _id_array(self.ids)
+        protected = _flag_array(self.protected, ids.shape[0])
+        scores = _score_array(self.scores, ids.shape[0])
+        ordered = np.sort(ids)  # far cheaper than a hash-based unique count at 10^6 ids
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("candidate ids must be unique")
+        self._freeze(ids, scores, protected)
+
+    def _freeze(self, ids, scores, protected):
+        for name, col in (("ids", ids), ("scores", scores), ("protected", protected)):
             col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def _of(cls, ids, scores, protected):
+        """A container of columns the caller has already checked, frozen
+        without a copy."""
+        columns = object.__new__(cls)
+        columns._freeze(ids, scores, protected)
+        return columns
 
     @classmethod
     def from_candidates(cls, candidates: Iterable[tuple]):
-        rows = [Candidate(c[0], float(c[1]), bool(c[2])) for c in candidates]
+        rows = list(candidates)
         return cls(
-            np.array([r.id for r in rows], dtype=object),
-            np.array([r.score for r in rows], dtype=np.float64),
-            np.array([r.protected for r in rows], dtype=bool),
+            np.array([c[0] for c in rows], dtype=object),
+            np.array([c[1] for c in rows], dtype=np.float64),
+            np.array([c[2] for c in rows]),
         )
+
+    def with_scores(self, scores):
+        """The same candidates with new scores.  Only the scores are checked:
+        the result shares this container's read-only ids and flags."""
+        return self._of(self.ids, _score_array(scores, len(self)), self.protected)
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -85,61 +117,29 @@ class _Columns:
 class CandidatePool(_Columns):
     """Unordered pool of candidates (order of rows carries no meaning)."""
 
-    ids: np.ndarray
-    scores: np.ndarray
-    protected: np.ndarray
-
-    def __post_init__(self):
-        self._coerce()
-
     def take(self, indices) -> "RankedSequence":
-        """Materialize the given pool row indices, in order, as a ranking."""
+        """Materialize the given pool row indices, in order, as a ranking.
+        The indices come from the caller, so the k rows are checked."""
         idx = np.asarray(indices)
         return RankedSequence(self.ids[idx], self.scores[idx], self.protected[idx])
-
-    def with_scores(self, scores) -> "CandidatePool":
-        """The same candidates with new scores.  Only the scores are checked:
-        the ids and flags were validated when this pool was built, and the
-        result shares those read-only arrays."""
-        scores = np.asarray(scores, dtype=np.float64)
-        _check_scores(scores, len(self))
-        scores.setflags(write=False)
-        pool = object.__new__(CandidatePool)
-        object.__setattr__(pool, "ids", self.ids)
-        object.__setattr__(pool, "scores", scores)
-        object.__setattr__(pool, "protected", self.protected)
-        return pool
 
 
 @dataclass(frozen=True)
 class RankedSequence(_Columns):
     """An ordered top list; row i holds the candidate at 1-based position i+1."""
 
-    ids: np.ndarray
-    scores: np.ndarray
-    protected: np.ndarray
-
-    def __post_init__(self):
-        self._coerce()
-
     @classmethod
     def from_flags(cls, flags) -> "RankedSequence":
         """Synthetic ranking from protected flags alone: ids are positions,
         scores descend with position.  The ids 1..k are unique by
-        construction, so the columns skip the validating constructor."""
+        construction, so only the flags' shape is checked."""
         flags = np.asarray(flags, dtype=bool)
         if flags.ndim != 1:
             raise ValueError("flags must be one-dimensional")
         k = flags.shape[0]
-        ranking = object.__new__(cls)
-        for name, col in (
-            ("ids", np.arange(1, k + 1, dtype=np.int64)),
-            ("scores", np.arange(k, 0, -1, dtype=np.float64)),
-            ("protected", flags),
-        ):
-            col.setflags(write=False)
-            object.__setattr__(ranking, name, col)
-        return ranking
+        return cls._of(
+            np.arange(1, k + 1, dtype=np.int64), np.arange(k, 0, -1, dtype=np.float64), flags
+        )
 
     def protected_prefix_counts(self) -> np.ndarray:
         """Number of protected candidates in each prefix, by prefix length."""

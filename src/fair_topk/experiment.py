@@ -30,7 +30,6 @@ __all__ = [
     "DataLoadError",
     "ExperimentRow",
     "ExperimentReport",
-    "REPORT_COLUMNS",
     "load_candidates",
     "save_candidates",
     "load_ranking",
@@ -39,13 +38,11 @@ __all__ = [
     "emit_curve_data",
 ]
 
-METHODS = ("color-blind", "fair", "feldman")
 REPORT_FIELDS = (
     ("dataset", "text"), ("method", "text"), ("p", "prob"), ("pct_protected_output", "prob"),
     ("ndcg", "prob"), ("ordering_utility_loss", "prob"), ("rank_drop", "count"),
     ("selection_utility_loss", "prob"),
 )
-REPORT_COLUMNS = tuple(name for name, _ in REPORT_FIELDS)
 
 TRUTHY = {"1", "true", "yes", "y"}
 FALSY = {"0", "false", "no", "n", ""}

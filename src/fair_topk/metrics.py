@@ -189,9 +189,7 @@ def evaluate_ranking(pool: CandidatePool, ranking: RankedSequence) -> UtilityRep
     """
     normalized = normalize_scores(pool)
     rows, in_ranking = _ranked_rows(normalized, ranking.ids)
-    normalized_ranking = RankedSequence(
-        ranking.ids, normalized.scores[rows], ranking.protected
-    )
+    normalized_ranking = ranking.with_scores(normalized.scores[rows])
     ordering = _ordering(normalized_ranking, normalized, rows)
     sel_value, sel_witness = _selection(normalized_ranking, normalized, in_ranking)
     return UtilityReport(

@@ -34,6 +34,43 @@ def test_non_numeric_ids_coerce_to_strings():
     assert list(pool.ids) == ["a", "b", "c10"]
 
 
+def test_float_ids_become_integers_only_when_exact():
+    exact = CandidatePool(np.array([1.0, 2.0]), np.array([0.1, 0.2]), np.array([0, 1]))
+    assert exact.ids.dtype == np.int64
+    assert list(exact.ids) == [1, 2]
+    for ids, text in (
+        ([1.5, 2.7], ["1.5", "2.7"]),
+        ([1.2, 1.7], ["1.2", "1.7"]),  # distinct ids, not a truncated duplicate
+        ([np.nan, 1e20], ["nan", "1e+20"]),
+    ):
+        pool = CandidatePool(np.array(ids), np.array([0.1, 0.2]), np.array([0, 1]))
+        assert list(pool.ids) == text
+    # Python floats passed through from_candidates follow the same rule
+    pool = CandidatePool.from_candidates([(1.5, 0.9, False), (2.5, 0.8, True)])
+    assert list(pool.ids) == ["1.5", "2.5"]
+    pool = CandidatePool.from_candidates([(1.0, 0.9, False), (2, 0.8, True)])
+    assert pool.ids.dtype == np.int64
+    assert list(pool.ids) == [1, 2]
+
+
+@pytest.mark.parametrize("flags", [["0", "1"], ["false", "true"], [0, 2], [0.5, 1], [None, 1]])
+def test_protected_flags_are_booleans_or_zero_and_one(flags):
+    with pytest.raises(ValueError, match="protected flags"):
+        CandidatePool(np.array([1, 2]), np.array([0.1, 0.2]), flags)
+    with pytest.raises(ValueError, match="protected flags"):
+        CandidatePool.from_candidates([(1, 0.1, flags[0]), (2, 0.2, flags[1])])
+
+
+@pytest.mark.parametrize("flags", [[False, True], [0, 1], [0.0, 1.0], np.array([0, 1], dtype=np.uint8)])
+def test_accepted_protected_flags(flags):
+    pool = CandidatePool(np.array([1, 2]), np.array([0.1, 0.2]), flags)
+    assert pool.protected.dtype == bool
+    assert list(pool.protected) == [False, True]
+    assert list(CandidatePool.from_candidates(zip([1, 2], [0.1, 0.2], flags)).protected) == [
+        False, True,
+    ]
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         CandidatePool(np.array([1, 1]), np.array([0.1, 0.2]), np.array([0, 1]))  # dup ids
@@ -43,6 +80,8 @@ def test_validation_errors():
         CandidatePool(np.array([1, 2]), np.array([0.1, np.nan]), np.array([0, 1]))
     with pytest.raises(ValueError):
         CandidatePool(np.array([1, 2]), np.array([0.1, np.inf]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="ids must be one-dimensional"):
+        CandidatePool(np.array([[1], [2]]), np.array([0.1, 0.2]), np.array([0, 1]))
 
 
 def test_columns_are_read_only():
@@ -61,31 +100,41 @@ def test_take_preserves_order():
     assert list(ranking.scores) == [0.7, 0.9]
 
 
-def test_with_scores_replaces_only_scores():
-    pool = CandidatePool.from_candidates([(1, 0.9, False), (2, 0.8, True)])
-    swapped = pool.with_scores([0.1, 0.2])
+@pytest.mark.parametrize("cls", [CandidatePool, RankedSequence])
+def test_with_scores_replaces_only_scores(cls):
+    columns = cls.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+    swapped = columns.with_scores([0.1, 0.2])
     assert list(swapped.scores) == [0.1, 0.2]
     assert list(swapped.ids) == [1, 2]
-    assert list(pool.scores) == [0.9, 0.8]  # original untouched
+    assert list(columns.scores) == [0.9, 0.8]  # original untouched
 
 
-def test_with_scores_checks_only_the_new_scores():
-    pool = CandidatePool.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+@pytest.mark.parametrize("cls", [CandidatePool, RankedSequence])
+def test_with_scores_checks_only_the_new_scores(cls, monkeypatch):
+    columns = cls.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+
+    def validate(self):
+        raise AssertionError("ids and flags were checked again")
+
+    monkeypatch.setattr(cls, "__post_init__", validate)
+    assert list(columns.with_scores([0.1, 0.2]).scores) == [0.1, 0.2]
     for bad in ([0.1, np.nan], [np.inf, 0.2]):
         with pytest.raises(ValueError, match="scores must be finite"):
-            pool.with_scores(bad)
+            columns.with_scores(bad)
     with pytest.raises(ValueError, match="ids, scores and protected must have equal length"):
-        pool.with_scores([0.1, 0.2, 0.3])
+        columns.with_scores([0.1, 0.2, 0.3])
 
 
-def test_with_scores_shares_the_checked_columns():
-    pool = CandidatePool.from_candidates([(1, 0.9, False), (2, 0.8, True)])
-    swapped = pool.with_scores(np.array([0.1, 0.2]))
-    assert isinstance(swapped, CandidatePool)
-    assert swapped.ids is pool.ids
-    assert swapped.protected is pool.protected
-    with pytest.raises(ValueError):
-        swapped.scores[0] = 0.5
+@pytest.mark.parametrize("cls", [CandidatePool, RankedSequence])
+def test_with_scores_shares_the_checked_columns(cls):
+    columns = cls.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+    swapped = columns.with_scores(np.array([0.1, 0.2]))
+    assert type(swapped) is cls
+    assert swapped.ids is columns.ids
+    assert swapped.protected is columns.protected
+    for column in (swapped.ids, swapped.scores, swapped.protected):
+        with pytest.raises(ValueError):
+            column[0] = column[1]
 
 
 def test_from_flags_synthesizes_descending_ranking():
