@@ -13,7 +13,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default="data", help="directory from make_datasets.py")
     parser.add_argument("--out", default="results", help="where to write report CSVs")
-    parser.add_argument("--cache", default=None, help="adjustment cache dir")
     args = parser.parse_args()
 
     data = Path(args.data)
@@ -25,12 +24,11 @@ def main():
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cache = Path(args.cache) if args.cache else None
 
     for config in sorted(data.glob("*.yaml")):
         spec = load_spec(config)
         started = time.perf_counter()
-        report = run_experiment(spec, cache_dir=cache)
+        report = run_experiment(spec)
         elapsed = time.perf_counter() - started
         target = out / f"{spec.name}.csv"
         with open(target, "w", newline="", encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ from .adjustment import (
     simulate_rejection_rate,
 )
 from .baselines import RepairedPool, feldman_repair, yang_stoyanovich_generate
-from .binomial import BinomialParams, cdf, minimum_counts, percent_point, pmf
+from .binomial import cdf, minimum_counts, percent_point, pmf
 from .candidates import Candidate, CandidatePool, RankedSequence
 from .experiment import (
     DataLoadError,
@@ -24,11 +24,9 @@ from .experiment import (
     save_candidates,
 )
 from .fairness import (
-    BlockDecomposition,
     FairnessVerdict,
     MTable,
     compute_mtable,
-    decompose_blocks,
     fair_representation,
     ranked_group_fairness_measure,
     verify_ranked_group_fairness,
@@ -55,8 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustmentResult",
-    "BinomialParams",
-    "BlockDecomposition",
     "Candidate",
     "CandidatePool",
     "DataLoadError",
@@ -77,7 +73,6 @@ __all__ = [
     "cdf",
     "color_blind_topk",
     "compute_mtable",
-    "decompose_blocks",
     "emit_curve_data",
     "evaluate_ranking",
     "fair_representation",

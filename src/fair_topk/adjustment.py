@@ -16,8 +16,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .baselines import _draw_flags, _seed_words
-from .binomial import _check_args, _pmf_vector, _table_walk
-from .fairness import MTable, compute_mtable, decompose_blocks
+from .binomial import _check_args, _check_prob, _pmf_vector, _table_walk
+from .fairness import MTable, compute_mtable
 
 __all__ = [
     "AdjustmentResult",
@@ -39,7 +39,7 @@ def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
     probability of having exactly required + j protected so far while every
     prefix requirement has been met.  Between two increments of the
     requirement no count becomes infeasible, so each block of b positions
-    that ends at an increment (the blocks of ``decompose_blocks``) is crossed
+    that ends at an increment (the gaps of ``MTable.inverse``) is crossed
     in one step: S is convolved with the Bin(b, p) pmf, and its first entry,
     the count the new requirement rules out, is dropped.  The answer is the
     sum of the dropped masses (1 - sum(S) would cancel when it is small).
@@ -51,7 +51,7 @@ def rejection_probability(k: int, p: float, alpha_adj: float) -> float:
 
 def _table_rejection(table: MTable) -> float:
     S, dropped = np.ones(1), []
-    for block in decompose_blocks(table).blocks.tolist():
+    for block in np.diff(table.inverse, prepend=0).tolist():
         full = np.convolve(S, _pmf_vector(block, table.p))
         dropped.append(full[0])
         S = full[1:]
@@ -80,8 +80,7 @@ class AdjustmentResult:
     search_iterations: int
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_adj < 1.0:
-            raise ValueError("alpha_adj must lie in the open interval (0, 1)")
+        _check_prob(self.alpha_adj, "alpha_adj")
 
 
 def _shortest_inside(lower: float, upper: float) -> float:

@@ -6,6 +6,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .binomial import _check_prob
 from .candidates import CandidatePool, RankedSequence
 
 __all__ = ["RepairedPool", "feldman_repair", "yang_stoyanovich_generate"]
@@ -79,8 +80,7 @@ def yang_stoyanovich_generate(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in the open interval (0, 1)")
+    _check_prob(p)
     _seed_words(seed)  # only to reject a bad seed with a clear message
     return RankedSequence.from_flags(_draw_flags(k, p, seed))
 

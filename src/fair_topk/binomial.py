@@ -13,12 +13,11 @@ and cumulative probabilities are compensated sums of those terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["BinomialParams", "pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts"]
+__all__ = ["pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts"]
 
 # Carried recurrences (_Walk) shed accumulated rounding by recomputing from
 # the mode-seeded vector every this many trials.
@@ -28,23 +27,18 @@ _REFRESH_EVERY = 256
 _BOUNDARY_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class BinomialParams:
-    """Parameters (trials, success_prob) of a binomial distribution."""
-
-    trials: int
-    success_prob: float
-
-    def __post_init__(self):
-        if self.trials < 0:
-            raise ValueError("trials must be non-negative")
-        if not 0.0 < self.success_prob < 1.0:
-            raise ValueError("success_prob must lie in the open interval (0, 1)")
+def _check_prob(value: float, name: str = "p") -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in the open interval (0, 1)")
 
 
-def _check_support(x: int, params: BinomialParams) -> None:
-    if not 0 <= x <= params.trials:
-        raise ValueError(f"x={x} outside support [0, {params.trials}]")
+def _check(trials: int, p: float, x=None) -> None:
+    """Bin(trials, p) must be a distribution, and x, when given, in its support."""
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    _check_prob(p)
+    if x is not None and not 0 <= x <= trials:
+        raise ValueError(f"x={x} outside support [0, {trials}]")
 
 
 @lru_cache(maxsize=512)
@@ -76,34 +70,36 @@ def _pmf_vector(trials: int, p: float) -> np.ndarray:
     return out
 
 
-def pmf_vector(params: BinomialParams) -> np.ndarray:
-    """Read-only vector v with v[x] = Pr(X = x) for X ~ Bin(params)."""
-    return _pmf_vector(params.trials, params.success_prob)
+def pmf_vector(trials: int, p: float) -> np.ndarray:
+    """Read-only vector v with v[x] = Pr(X = x) for X ~ Bin(trials, p)."""
+    _check(trials, p)
+    return _pmf_vector(trials, p)
 
 
-def pmf(x: int, params: BinomialParams) -> float:
-    """Pr(X = x) for X ~ Bin(trials, success_prob)."""
-    _check_support(x, params)
-    return float(pmf_vector(params)[x])
+def pmf(x: int, trials: int, p: float) -> float:
+    """Pr(X = x) for X ~ Bin(trials, p)."""
+    _check(trials, p, x)
+    return float(_pmf_vector(trials, p)[x])
 
 
-def cdf(x: int, params: BinomialParams) -> float:
+def cdf(x: int, trials: int, p: float) -> float:
     """F(x; trials, p) = Pr(X <= x), accumulated with compensated summation."""
-    _check_support(x, params)
-    if x == params.trials:
+    _check(trials, p, x)
+    if x == trials:
         return 1.0
     # fsum rounds the exact sum once, so term order is free: largest first is fastest
-    return min(1.0, math.fsum(np.sort(pmf_vector(params)[: x + 1])[::-1].tolist()))
+    return min(1.0, math.fsum(np.sort(_pmf_vector(trials, p)[: x + 1])[::-1].tolist()))
 
 
-def percent_point(alpha: float, params: BinomialParams) -> int:
+def percent_point(alpha: float, trials: int, p: float) -> int:
     """Smallest integer x with F(x; trials, p) strictly greater than alpha: the
     last entry of minimum_counts(trials, p, alpha), read from the same walk in
     O(trials).  It is the minimum protected count at which a prefix of this
     length passes the fair-representation test at significance alpha.
     """
-    counts = minimum_counts(max(params.trials, 1), params.success_prob, alpha)
-    return int(counts[-1]) if params.trials else 0  # F(0; 0, p) = 1 > alpha
+    _check(trials, p)
+    counts = minimum_counts(max(trials, 1), p, alpha)
+    return int(counts[-1]) if trials else 0  # F(0; 0, p) = 1 > alpha
 
 
 class _Walk:
@@ -137,8 +133,7 @@ class _Walk:
         self.cdf += self.pmf
 
     def exact(self) -> None:
-        params = BinomialParams(self.i, self.p)
-        self.cdf, self.pmf = cdf(self.c, params), pmf(self.c, params)
+        self.cdf, self.pmf = cdf(self.c, self.i, self.p), pmf(self.c, self.i, self.p)
 
     def exact_near(self, alpha: float) -> None:
         if abs(self.cdf - alpha) < _BOUNDARY_EPS:
@@ -148,10 +143,8 @@ class _Walk:
 def _check_args(k: int, p: float, alpha: float, name: str = "alpha") -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in the open interval (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"{name} must lie in the open interval (0, 1)")
+    _check_prob(p)
+    _check_prob(alpha, name)
 
 
 def _table_walk(k: int, p: float, alpha: float):
@@ -206,9 +199,8 @@ def _plateau(minima: np.ndarray, p: float, upper: np.ndarray, pmfs: np.ndarray) 
     near_upper = np.flatnonzero(upper < upper.min() + _BOUNDARY_EPS)
     near_lower = np.flatnonzero(lower > lower.max() - _BOUNDARY_EPS)
     return (
-        max(cdf(int(minima[i]) - 1, BinomialParams(i + 1, p)) if minima[i] else 0.0
-            for i in near_lower),
-        min(cdf(int(minima[i]), BinomialParams(i + 1, p)) for i in near_upper),
+        max(cdf(int(minima[i]) - 1, i + 1, p) if minima[i] else 0.0 for i in near_lower),
+        min(cdf(int(minima[i]), i + 1, p) for i in near_upper),
     )
 
 

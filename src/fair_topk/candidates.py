@@ -71,8 +71,12 @@ class _Columns:
         self._freeze(ids, scores, protected)
 
     def _freeze(self, ids, scores, protected):
+        """Keep a read-only view of each column: the caller's own array stays
+        writable, and a column that is already read-only is shared as is."""
         for name, col in (("ids", ids), ("scores", scores), ("protected", protected)):
-            col.setflags(write=False)
+            if col.flags.writeable:
+                col = col.view()
+                col.setflags(write=False)
             object.__setattr__(self, name, col)
 
     @classmethod

@@ -65,6 +65,16 @@ def _adjustment_row(r: AdjustmentResult) -> tuple:
     return r.k, r.p, r.alpha_target, r.alpha_adj, r.achieved_rejection_prob, r.feasible
 
 
+def _refuse(r: AdjustmentResult) -> int:
+    print(
+        f"error: no feasible alpha_adj for k={r.k} p={prob(r.p)} "
+        f"alpha={prob(r.alpha_target)}: best achievable rejection "
+        f"{prob(r.achieved_rejection_prob)} at alpha_adj={_alpha_text(r.alpha_adj)}",
+        file=sys.stderr,
+    )
+    return EXIT_VERDICT
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -74,14 +84,7 @@ def cmd_mtable(args) -> int:
     if args.adjust:
         adjustment = adjust_significance(args.k, args.p, args.alpha)
         if not adjustment.feasible:
-            print(
-                f"error: no feasible alpha_adj for k={args.k} p={prob(args.p)} "
-                f"alpha={prob(args.alpha)}: best achievable rejection "
-                f"{prob(adjustment.achieved_rejection_prob)} at "
-                f"alpha_adj={_alpha_text(adjustment.alpha_adj)}",
-                file=sys.stderr,
-            )
-            return EXIT_VERDICT
+            return _refuse(adjustment)
         alpha = adjustment.alpha_adj
     minima = compute_mtable(args.k, args.p, alpha).minima.tolist()
     if args.json:
@@ -112,7 +115,11 @@ def cmd_verify(args) -> int:
     ranking = load_ranking(source)
     alpha = args.alpha
     if args.adjusted:
-        alpha = adjust_significance(len(ranking), args.p, args.alpha).alpha_adj
+        adjustment = adjust_significance(len(ranking), args.p, args.alpha)
+        # refuse a table that rejects more than alpha; an under-rejecting one is used
+        if adjustment.achieved_rejection_prob > args.alpha:
+            return _refuse(adjustment)
+        alpha = adjustment.alpha_adj
     verdict = verify_ranked_group_fairness(ranking, args.p, alpha)
     row = (verdict.fair, verdict.k, alpha,
            verdict.first_violation, verdict.required, verdict.observed)
@@ -136,7 +143,10 @@ def cmd_rank(args) -> int:
     if args.method == "fair":
         alpha_adj = args.alpha
         if not args.raw:
-            alpha_adj = adjust_significance(args.k, args.p, args.alpha).alpha_adj
+            adjustment = adjust_significance(args.k, args.p, args.alpha)
+            if adjustment.achieved_rejection_prob > args.alpha:
+                return _refuse(adjustment)
+            alpha_adj = adjustment.alpha_adj
         result = fair_topk(pool, args.k, args.p, alpha_adj, strict=args.strict)
         if result.satisfied_up_to < args.k:
             print(

@@ -19,6 +19,7 @@ import yaml
 
 from .adjustment import rejection_probability, simulate_rejection_rate
 from .baselines import feldman_repair
+from .binomial import _check_prob
 from .candidates import CandidatePool, RankedSequence
 from .metrics import UtilityReport, evaluate_ranking
 from .output import write
@@ -78,8 +79,7 @@ class DatasetSpec:
                 raise TypeError(f"{name} must be a string, not {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in the open interval (0, 1)")
+        _check_prob(self.alpha, "alpha")
         if not all(0.0 < p < 1.0 for p in self.p_grid):
             raise ValueError("every p in p_grid must lie in the open interval (0, 1)")
 

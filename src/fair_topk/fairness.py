@@ -6,21 +6,19 @@ m(i) is the smallest count whose binomial CDF at i trials exceeds a.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .binomial import BinomialParams, _carried_along, _check_args, cdf, minimum_counts
+from .binomial import _carried_along, _check_args, _check_prob, cdf, minimum_counts
 from .candidates import RankedSequence
 
 __all__ = [
     "MTable",
-    "BlockDecomposition",
     "FairnessVerdict",
     "compute_mtable",
-    "decompose_blocks",
     "fair_representation",
     "verify_ranked_group_fairness",
     "ranked_group_fairness_measure",
@@ -29,12 +27,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MTable:
-    """Minimum protected counts m(1..k) for parameters (k, p, alpha_adj)."""
+    """Minimum protected counts m(1..k) for parameters (k, p, alpha_adj).
+
+    ``inverse`` holds the positions where m(.) steps up: ``inverse[j-1]`` is
+    the first prefix length that requires j protected.  The gaps between them
+    are the blocks that ``rejection_probability`` crosses one at a time.
+    """
 
     k: int
     p: float
     alpha_adj: float
     minima: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         minima = np.asarray(self.minima, dtype=np.int64)
@@ -46,33 +50,16 @@ class MTable:
             raise ValueError("minima must be non-decreasing with steps of at most 1")
         if (minima > np.arange(1, self.k + 1)).any():
             raise ValueError("minima[i] cannot exceed the prefix length i")
+        inverse = np.flatnonzero(steps) + 1
+        object.__setattr__(self, "inverse", inverse)
         minima.setflags(write=False)
+        inverse.setflags(write=False)
 
     def requirement(self, position: int) -> int:
         """Minimum protected count for the prefix of the given 1-based length."""
         if not 1 <= position <= self.k:
             raise ValueError(f"position {position} outside 1..{self.k}")
         return int(self.minima[position - 1])
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Positions where the required count increments, and the gaps between them."""
-
-    inverse: np.ndarray  # inverse[j-1] = first position requiring j protected
-    blocks: np.ndarray  # blocks[j-1] = inverse[j-1] - inverse[j-2]
-
-    def __post_init__(self):
-        inverse = np.asarray(self.inverse, dtype=np.int64)
-        blocks = np.asarray(self.blocks, dtype=np.int64)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "blocks", blocks)
-        if inverse.shape != blocks.shape:
-            raise ValueError("inverse and blocks must have equal length")
-        if not np.array_equal(np.diff(inverse, prepend=0), blocks):
-            raise ValueError("blocks must be the gaps between increment positions")
-        inverse.setflags(write=False)
-        blocks.setflags(write=False)
 
 
 @lru_cache(maxsize=256)
@@ -82,12 +69,6 @@ def compute_mtable(k: int, p: float, alpha_adj: float) -> MTable:
     return MTable(k, p, alpha_adj, minimum_counts(k, p, alpha_adj))
 
 
-def decompose_blocks(mtable: MTable) -> BlockDecomposition:
-    """Increment positions of m(.) and the block sizes between them."""
-    inverse = np.flatnonzero(np.diff(mtable.minima, prepend=0) == 1) + 1
-    return BlockDecomposition(inverse, np.diff(inverse, prepend=0))
-
-
 def fair_representation(protected_count: int, k: int, p: float, alpha: float) -> bool:
     """Does a length-k prefix with this protected count pass the binomial test?
 
@@ -95,7 +76,8 @@ def fair_representation(protected_count: int, k: int, p: float, alpha: float) ->
     """
     if not 0 <= protected_count <= k:
         raise ValueError("protected_count must lie in [0, k]")
-    return cdf(protected_count, BinomialParams(k, p)) > alpha
+    _check_prob(alpha, "alpha")
+    return cdf(protected_count, k, p) > alpha
 
 
 @dataclass(frozen=True)
@@ -152,7 +134,6 @@ def ranked_group_fairness_measure(ranking: RankedSequence, p: float) -> float:
     k = len(ranking)
     if k == 0:
         raise ValueError("ranking must be non-empty")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in the open interval (0, 1)")
+    _check_prob(p)
     cdfs, _ = _carried_along(ranking.protected_prefix_counts(), p)
     return float(min(cdfs.min(), 1.0))

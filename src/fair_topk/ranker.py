@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidatePool, RankedSequence
-from .fairness import MTable, compute_mtable, decompose_blocks, verify_ranked_group_fairness
+from .fairness import MTable, compute_mtable, verify_ranked_group_fairness
 
 __all__ = [
     "FairRanking",
@@ -121,7 +121,7 @@ def fair_topk(
     stream0 = open_rows[_top_indices(pool.scores[open_rows], pool.ids[open_rows], k)]
 
     supply = stream1.shape[0]
-    required = np.pad(decompose_blocks(mtable).inverse, (0, k), constant_values=k + 1)
+    required = np.pad(mtable.inverse, (0, k), constant_values=k + 1)
     beaten = np.searchsorted(-pool.scores[stream0], -pool.scores[stream1])
     positions = np.minimum(required[:supply], np.arange(1, supply + 1) + beaten)
     positions = positions[positions <= k]

@@ -40,7 +40,7 @@ from fair_topk import (
     simulate_rejection_rate,
     verify_ranked_group_fairness,
 )
-from fair_topk.binomial import BinomialParams, minimum_counts, percent_point
+from fair_topk.binomial import minimum_counts, percent_point
 from fair_topk.datasets import (
     write_compas_like,
     write_german_credit_like,
@@ -48,7 +48,6 @@ from fair_topk.datasets import (
     write_xing_like,
 )
 from fair_topk.experiment import DatasetSpec, load_candidates
-from fair_topk.fairness import decompose_blocks
 from fair_topk.ranker import InfeasibleRankingError
 
 
@@ -81,7 +80,7 @@ def test_criterion_01_minimum_count_grid():
     # cross-check every cell against the direct quantile, cell by cell
     for p, expected in MTABLE_GRID_ALPHA01.items():
         for k, e in enumerate(expected, start=1):
-            direct = percent_point(0.1, BinomialParams(k, p))
+            direct = percent_point(0.1, k, p)
             if direct != e:
                 failures.append(f"percent_point(p={p}, k={k}) = {direct} != {e}")
     if elapsed >= 1.0:
@@ -95,11 +94,12 @@ def test_criterion_01_minimum_count_grid():
 
 def test_criterion_02_block_decomposition():
     failures = []
-    blocks = decompose_blocks(compute_mtable(12, 0.5, 0.1))
-    if blocks.inverse.tolist() != [4, 7, 9, 12]:
-        failures.append(f"inverse positions {blocks.inverse.tolist()} != [4, 7, 9, 12]")
-    if blocks.blocks.tolist() != [4, 3, 2, 3]:
-        failures.append(f"block sizes {blocks.blocks.tolist()} != [4, 3, 2, 3]")
+    inverse = compute_mtable(12, 0.5, 0.1).inverse
+    blocks = np.diff(inverse, prepend=0)
+    if inverse.tolist() != [4, 7, 9, 12]:
+        failures.append(f"inverse positions {inverse.tolist()} != [4, 7, 9, 12]")
+    if blocks.tolist() != [4, 3, 2, 3]:
+        failures.append(f"block sizes {blocks.tolist()} != [4, 3, 2, 3]")
     _report("criterion 2 (block decomposition)", failures)
 
 

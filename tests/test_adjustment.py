@@ -86,13 +86,13 @@ def test_rejection_monotone_in_alpha():
 @settings(deadline=None, max_examples=60)
 def test_rejection_is_sandwiched(k, p, alpha_adj):
     """Any single prefix test's failure rate bounds below; the union bound above."""
-    from fair_topk.binomial import BinomialParams, cdf
+    from fair_topk.binomial import cdf
 
     rejection = rejection_probability(k, p, alpha_adj)
     assert 0.0 <= rejection < 1.0
     minima = minimum_counts(k, p, alpha_adj)
     single = max(
-        (cdf(int(m) - 1, BinomialParams(i, p)) for i, m in enumerate(minima, 1) if m > 0),
+        (cdf(int(m) - 1, i, p) for i, m in enumerate(minima, 1) if m > 0),
         default=0.0,
     )
     assert rejection >= single - 1e-12

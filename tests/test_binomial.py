@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fair_topk.binomial import (
-    BinomialParams,
     cdf,
     minimum_counts,
     percent_point,
@@ -33,36 +32,34 @@ def exact_cdf(x: int, n: int, p: Fraction) -> Fraction:
 def test_pmf_matches_exact_fractions(p):
     pf = Fraction(p)
     for n in (0, 1, 2, 7, 19, 30):
-        params = BinomialParams(n, p)
         for x in range(n + 1):
-            assert pmf(x, params) == pytest.approx(float(exact_pmf(x, n, pf)), abs=1e-12)
+            assert pmf(x, n, p) == pytest.approx(float(exact_pmf(x, n, pf)), abs=1e-12)
 
 
 @pytest.mark.parametrize("p", PS)
 def test_cdf_matches_exact_fractions(p):
     pf = Fraction(p)
     for n in (1, 5, 17, 30):
-        params = BinomialParams(n, p)
         for x in range(n + 1):
-            assert cdf(x, params) == pytest.approx(float(exact_cdf(x, n, pf)), abs=1e-12)
+            assert cdf(x, n, p) == pytest.approx(float(exact_cdf(x, n, pf)), abs=1e-12)
 
 
 def test_frozen_reference_values():
     # exact decimals for p = 2/5 (terminating): 9C2*(2/5)^2*(3/5)^7 etc.
-    assert pmf(2, BinomialParams(9, 0.4)) == pytest.approx(0.161243136, abs=1e-12)
-    assert cdf(1, BinomialParams(9, 0.4)) == pytest.approx(0.070543872, abs=1e-12)
-    assert cdf(0, BinomialParams(1, 0.5)) == pytest.approx(0.5, abs=1e-15)
+    assert pmf(2, 9, 0.4) == pytest.approx(0.161243136, abs=1e-12)
+    assert cdf(1, 9, 0.4) == pytest.approx(0.070543872, abs=1e-12)
+    assert cdf(0, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 5, 37, 256, 2000])
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_pmf_vector_is_a_distribution(n, p):
-    vec = pmf_vector(BinomialParams(n, p))
+    vec = pmf_vector(n, p)
     assert vec.shape == (n + 1,)
     assert (vec >= 0.0).all()
     # the mode-seeded recurrence drifts by O(n) ulps across the far tail
     assert math.fsum(vec) == pytest.approx(1.0, abs=5e-15 * n + 1e-13)
-    assert cdf(n, BinomialParams(n, p)) == 1.0
+    assert cdf(n, n, p) == 1.0
 
 
 @given(
@@ -72,22 +69,21 @@ def test_pmf_vector_is_a_distribution(n, p):
 )
 @settings(deadline=None)
 def test_percent_point_is_smallest_count_exceeding_alpha(n, p, alpha):
-    params = BinomialParams(n, p)
-    x = percent_point(alpha, params)
+    x = percent_point(alpha, n, p)
     assert 0 <= x <= n
-    assert cdf(x, params) > alpha
-    assert x == 0 or cdf(x - 1, params) <= alpha
+    assert cdf(x, n, p) > alpha
+    assert x == 0 or cdf(x - 1, n, p) <= alpha
 
 
 def test_percent_point_spot_values():
     # verified twelfth-position minima at alpha = 0.1
-    assert percent_point(0.1, BinomialParams(12, 0.4)) == 3
-    assert percent_point(0.1, BinomialParams(12, 0.5)) == 4
-    assert percent_point(0.1, BinomialParams(12, 0.7)) == 6
+    assert percent_point(0.1, 12, 0.4) == 3
+    assert percent_point(0.1, 12, 0.5) == 4
+    assert percent_point(0.1, 12, 0.7) == 6
     # F(0; 1, 0.5) = 0.5 <= 0.6 forces one success
-    assert percent_point(0.6, BinomialParams(1, 0.5)) == 1
+    assert percent_point(0.6, 1, 0.5) == 1
     # no trials: F(0; 0, p) = 1 exceeds every alpha
-    assert percent_point(0.6, BinomialParams(0, 0.5)) == 0
+    assert percent_point(0.6, 0, 0.5) == 0
 
 
 @pytest.mark.parametrize(
@@ -105,10 +101,9 @@ def test_minimum_counts_matches_percent_point_exactly(k, p, alpha):
     # against the definition instead: F(m-1; i, p) <= alpha < F(m; i, p)
     counts = minimum_counts(k, p, alpha)
     for i, m in enumerate(counts.tolist(), start=1):
-        params = BinomialParams(i, p)
-        assert m == 0 or cdf(m - 1, params) <= alpha, i
-        assert alpha < cdf(m, params), i
-    assert percent_point(alpha, BinomialParams(k, p)) == counts[-1]
+        assert m == 0 or cdf(m - 1, i, p) <= alpha, i
+        assert alpha < cdf(m, i, p), i
+    assert percent_point(alpha, k, p) == counts[-1]
 
 
 @given(
@@ -134,17 +129,20 @@ def test_minimum_counts_monotone_in_alpha(k, p):
 
 
 def test_parameter_validation():
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        cdf(0, -1, 0.5)
+    for p in (0.0, 1.0):
+        for call in (lambda: pmf(0, 3, p), lambda: cdf(0, 3, p),
+                     lambda: pmf_vector(3, p), lambda: percent_point(0.1, 3, p)):
+            with pytest.raises(ValueError, match=r"p must lie in the open interval \(0, 1\)"):
+                call()
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        percent_point(0.1, -1, 0.5)
+    with pytest.raises(ValueError, match=r"x=4 outside support \[0, 3\]"):
+        pmf(4, 3, 0.5)
+    with pytest.raises(ValueError, match=r"x=-1 outside support"):
+        cdf(-1, 3, 0.5)
     with pytest.raises(ValueError):
-        BinomialParams(-1, 0.5)
-    with pytest.raises(ValueError):
-        BinomialParams(3, 0.0)
-    with pytest.raises(ValueError):
-        BinomialParams(3, 1.0)
-    with pytest.raises(ValueError):
-        pmf(4, BinomialParams(3, 0.5))
-    with pytest.raises(ValueError):
-        cdf(-1, BinomialParams(3, 0.5))
-    with pytest.raises(ValueError):
-        percent_point(0.0, BinomialParams(3, 0.5))
+        percent_point(0.0, 3, 0.5)
     with pytest.raises(ValueError):
         minimum_counts(0, 0.5, 0.1)

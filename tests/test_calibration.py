@@ -11,7 +11,7 @@ import pytest
 
 from fair_topk import cli
 from fair_topk.adjustment import _shortest_inside, adjust_significance, rejection_probability
-from fair_topk.binomial import BinomialParams, _table_walk, cdf, minimum_counts, table_plateau
+from fair_topk.binomial import _table_walk, cdf, minimum_counts, table_plateau
 from fair_topk.fairness import compute_mtable
 
 P_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -24,10 +24,10 @@ LARGE = [(1000, 0.1, 0.1), (1000, 0.4, 0.1), (1000, 0.6, 0.1), (1500, 0.7, 0.1)]
 
 def naive_plateau(minima, p):
     lower = max(
-        cdf(int(m) - 1, BinomialParams(i, p)) if m > 0 else 0.0
+        cdf(int(m) - 1, i, p) if m > 0 else 0.0
         for i, m in enumerate(minima, 1)
     )
-    upper = min(cdf(int(m), BinomialParams(i, p)) for i, m in enumerate(minima, 1))
+    upper = min(cdf(int(m), i, p) for i, m in enumerate(minima, 1))
     return lower, upper
 
 

@@ -92,6 +92,22 @@ def test_columns_are_read_only():
         pool.protected[0] = False
 
 
+def test_columns_leave_the_callers_arrays_writable():
+    ids, scores, flags = np.array([1, 2]), np.array([0.5, 0.7]), np.array([False, True])
+    pool = CandidatePool(ids, scores, flags)
+    new_scores = np.array([0.1, 0.2])
+    swapped = pool.with_scores(new_scores)
+    ranked_flags = np.array([True, False])
+    ranking = RankedSequence.from_flags(ranked_flags)
+    for array in (ids, scores, flags, new_scores, ranked_flags):
+        assert array.flags.writeable
+    for column in (pool.ids, pool.scores, pool.protected, swapped.scores, ranking.protected):
+        assert not column.flags.writeable
+    # no copy: each column is a view of the caller's array
+    assert np.shares_memory(pool.scores, scores)
+    assert np.shares_memory(ranking.protected, ranked_flags)
+
+
 def test_take_preserves_order():
     pool = CandidatePool.from_candidates([(1, 0.9, False), (2, 0.8, True), (3, 0.7, False)])
     ranking = pool.take([2, 0])

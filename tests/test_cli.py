@@ -176,6 +176,19 @@ def test_verify_adjusted_uses_corrected_alpha(capsys, monkeypatch):
     assert cells[3] == "10"
 
 
+def test_verify_adjusted_refuses_an_over_rejecting_table(capsys, tmp_path):
+    # k * SEARCH_FLOOR > alpha: the floor's table rejects 3.3e-10 > 1e-11
+    path = tmp_path / "r.csv"
+    path.write_text(flags_csv([i % 2 for i in range(60)]))
+    code, out, err = run(
+        capsys, "verify", str(path), "--p", "0.5", "--alpha", "1e-11", "--adjusted"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no feasible alpha_adj for k=60 p=0.500000 ")
+    assert err.rstrip().endswith("at alpha_adj=1e-10")
+
+
 def test_verify_file_input_and_json(capsys, tmp_path):
     path = tmp_path / "r.csv"
     path.write_text(ECONOMIST)
@@ -270,6 +283,24 @@ def test_rank_nonstrict_exhaustion_warns(capsys, tmp_path):
     assert code == 0
     assert "warning" in err
     assert len(out.splitlines()) == 5  # full ranking still emitted
+
+
+def test_rank_refuses_an_over_rejecting_table(capsys):
+    code, out, err = run(capsys, "rank", "--k", "1000", "--p", "0.5", "--alpha", "1e-11")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no feasible alpha_adj for k=1000 p=0.500000 ")
+    # the same message as mtable --adjust
+    assert run(capsys, "mtable", "--k", "1000", "--p", "0.5", "--alpha", "1e-11",
+               "--adjust")[2] == err
+
+
+def test_rank_uses_an_under_rejecting_table(capsys):
+    # adjust reports (40, 0.7, 0.1) infeasible: its table rejects 0.097 < 0.1
+    assert run(capsys, "adjust", "--k", "40", "--p", "0.7", "--alpha", "0.1")[0] == 1
+    code, out, _ = run(capsys, "rank", "--k", "40", "--p", "0.7", "--alpha", "0.1")
+    assert code == 0
+    assert len(out.splitlines()) == 41
 
 
 def test_rank_synthetic_pool_is_seeded(capsys):

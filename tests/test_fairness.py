@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fair_topk import (
-    BlockDecomposition,
     MTable,
     RankedSequence,
     compute_mtable,
-    decompose_blocks,
     fair_representation,
     ranked_group_fairness_measure,
     verify_ranked_group_fairness,
@@ -55,23 +53,20 @@ def test_mtable_rejects_malformed_minima():
 
 def test_blocks_reference_case():
     table = compute_mtable(12, 0.5, 0.1)
-    blocks = decompose_blocks(table)
-    assert list(blocks.inverse) == [4, 7, 9, 12]
-    assert list(blocks.blocks) == [4, 3, 2, 3]
+    assert list(table.inverse) == [4, 7, 9, 12]
+    assert list(np.diff(table.inverse, prepend=0)) == [4, 3, 2, 3]
+    assert not table.inverse.flags.writeable
+    # derived from minima: neither a constructor argument nor shown
+    assert "inverse" not in repr(table)
+    with pytest.raises(TypeError):
+        MTable(12, 0.5, 0.1, table.minima, inverse=table.inverse)
 
 
 def test_blocks_small_and_empty():
-    two = decompose_blocks(MTable(2, 0.9, 0.5, np.array([0, 1])))
-    assert list(two.inverse) == [2] and list(two.blocks) == [2]
-    flat = decompose_blocks(compute_mtable(12, 0.1, 0.1))
-    assert flat.inverse.shape == (0,) and flat.blocks.shape == (0,)
-
-
-def test_blocks_validation():
-    with pytest.raises(ValueError):
-        BlockDecomposition(np.array([4, 7]), np.array([4]))
-    with pytest.raises(ValueError):
-        BlockDecomposition(np.array([4, 7]), np.array([4, 4]))
+    two = MTable(2, 0.9, 0.5, np.array([0, 1]))
+    assert list(two.inverse) == [2] and two.inverse.dtype == np.int64
+    flat = compute_mtable(12, 0.1, 0.1)
+    assert flat.inverse.shape == (0,)
 
 
 @given(
@@ -82,11 +77,11 @@ def test_blocks_validation():
 @settings(deadline=None, max_examples=60)
 def test_blocks_partition_the_ranking(k, p, alpha):
     table = compute_mtable(k, p, alpha)
-    blocks = decompose_blocks(table)
-    assert blocks.blocks.sum() == (blocks.inverse[-1] if len(blocks.inverse) else 0)
+    blocks = np.diff(table.inverse, prepend=0)
+    assert blocks.sum() == (table.inverse[-1] if len(table.inverse) else 0)
     # increment positions must be exactly where the table steps up
     recovered = np.zeros(k, dtype=np.int64)
-    for position in blocks.inverse:
+    for position in table.inverse:
         recovered[position - 1 :] += 1
     assert np.array_equal(recovered, table.minima)
 
@@ -98,6 +93,9 @@ def test_fair_representation_strict_boundary():
     assert fair_representation(1, 1, 0.5, 0.99)
     with pytest.raises(ValueError):
         fair_representation(2, 1, 0.5, 0.1)
+    for alpha in (1.5, -0.1, 0.0, 1.0):
+        with pytest.raises(ValueError, match=r"alpha must lie in the open interval \(0, 1\)"):
+            fair_representation(0, 1, 0.5, alpha)
 
 
 def test_worked_example_sequences():
