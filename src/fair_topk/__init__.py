@@ -3,6 +3,7 @@ re-ranking, baselines, and an experiment harness."""
 
 from .adjustment import (
     AdjustmentResult,
+    InfeasibleAdjustmentError,
     SimulationResult,
     adjust_significance,
     rejection_probability,
@@ -61,6 +62,7 @@ __all__ = [
     "ExperimentRow",
     "FairRanking",
     "FairnessVerdict",
+    "InfeasibleAdjustmentError",
     "InfeasibleRankingError",
     "MTable",
     "OrderingResult",

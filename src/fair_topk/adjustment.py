@@ -18,9 +18,11 @@ import numpy as np
 from .baselines import _draw_flags, _seed_words
 from .binomial import _check_args, _check_prob, _pmf_vector, _table_walk
 from .fairness import MTable, compute_mtable
+from .output import _alpha_text, prob
 
 __all__ = [
     "AdjustmentResult",
+    "InfeasibleAdjustmentError",
     "SimulationResult",
     "rejection_probability",
     "adjust_significance",
@@ -58,6 +60,17 @@ def _table_rejection(table: MTable) -> float:
     return math.fsum(dropped)
 
 
+class InfeasibleAdjustmentError(ValueError):
+    """A calibration whose table must not be used; see AdjustmentResult.usable."""
+
+    def __init__(self, r: AdjustmentResult):
+        super().__init__(
+            f"no feasible alpha_adj for k={r.k} p={prob(r.p)} alpha={_alpha_text(r.alpha_target)}: "
+            f"best achievable rejection {r.achieved_rejection_prob:.6g} "
+            f"at alpha_adj={_alpha_text(r.alpha_adj)}"
+        )
+
+
 @dataclass(frozen=True)
 class AdjustmentResult:
     """Outcome of calibrating alpha_adj against a target overall alpha.
@@ -81,6 +94,12 @@ class AdjustmentResult:
 
     def __post_init__(self):
         _check_prob(self.alpha_adj, "alpha_adj")
+
+    def usable(self) -> float:
+        """alpha_adj, or InfeasibleAdjustmentError if its table rejects more than the target."""
+        if self.achieved_rejection_prob > self.alpha_target:
+            raise InfeasibleAdjustmentError(self)
+        return self.alpha_adj
 
 
 def _shortest_inside(lower: float, upper: float) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjustment import AdjustmentResult, adjust_significance, simulate_rejection_rate
+from .adjustment import InfeasibleAdjustmentError, adjust_significance, simulate_rejection_rate
 from .baselines import feldman_repair, yang_stoyanovich_generate
 from .candidates import CandidatePool
 from .datasets import XING_COLUMNS
@@ -61,18 +61,8 @@ SIMULATE = (("k", "count"), ("p", "prob"), ("alpha_adj", "alpha"), ("trials", "c
 PREP_XING = (("id", "text"), ("score", "count"), ("protected", "flag"))
 
 
-def _adjustment_row(r: AdjustmentResult) -> tuple:
+def _adjustment_row(r) -> tuple:
     return r.k, r.p, r.alpha_target, r.alpha_adj, r.achieved_rejection_prob, r.feasible
-
-
-def _refuse(r: AdjustmentResult) -> int:
-    print(
-        f"error: no feasible alpha_adj for k={r.k} p={prob(r.p)} "
-        f"alpha={prob(r.alpha_target)}: best achievable rejection "
-        f"{prob(r.achieved_rejection_prob)} at alpha_adj={_alpha_text(r.alpha_adj)}",
-        file=sys.stderr,
-    )
-    return EXIT_VERDICT
 
 
 # ---------------------------------------------------------------- commands
@@ -83,8 +73,8 @@ def cmd_mtable(args) -> int:
     alpha = args.alpha
     if args.adjust:
         adjustment = adjust_significance(args.k, args.p, args.alpha)
-        if not adjustment.feasible:
-            return _refuse(adjustment)
+        if not adjustment.feasible:  # stricter than usable(): no under-rejecting table
+            raise InfeasibleAdjustmentError(adjustment)
         alpha = adjustment.alpha_adj
     minima = compute_mtable(args.k, args.p, alpha).minima.tolist()
     if args.json:
@@ -115,11 +105,7 @@ def cmd_verify(args) -> int:
     ranking = load_ranking(source)
     alpha = args.alpha
     if args.adjusted:
-        adjustment = adjust_significance(len(ranking), args.p, args.alpha)
-        # refuse a table that rejects more than alpha; an under-rejecting one is used
-        if adjustment.achieved_rejection_prob > args.alpha:
-            return _refuse(adjustment)
-        alpha = adjustment.alpha_adj
+        alpha = adjust_significance(len(ranking), args.p, args.alpha).usable()
     verdict = verify_ranked_group_fairness(ranking, args.p, alpha)
     row = (verdict.fair, verdict.k, alpha,
            verdict.first_violation, verdict.required, verdict.observed)
@@ -143,10 +129,7 @@ def cmd_rank(args) -> int:
     if args.method == "fair":
         alpha_adj = args.alpha
         if not args.raw:
-            adjustment = adjust_significance(args.k, args.p, args.alpha)
-            if adjustment.achieved_rejection_prob > args.alpha:
-                return _refuse(adjustment)
-            alpha_adj = adjustment.alpha_adj
+            alpha_adj = adjust_significance(args.k, args.p, args.alpha).usable()
         result = fair_topk(pool, args.k, args.p, alpha_adj, strict=args.strict)
         if result.satisfied_up_to < args.k:
             print(
@@ -387,13 +370,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except InfeasibleRankingError as exc:
+    except (InfeasibleRankingError, InfeasibleAdjustmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except DataLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataLoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -330,8 +330,8 @@ def run_experiment(
     repaired_report = evaluate_ranking(pool, repaired)
     rows = []
     for p in spec.p_grid:
-        adjustment = cached_adjustment(spec.k, p, spec.alpha, cache_dir)
-        constrained = fair_topk(pool, spec.k, p, adjustment.alpha_adj, strict=strict)
+        alpha_adj = cached_adjustment(spec.k, p, spec.alpha, cache_dir).usable()
+        constrained = fair_topk(pool, spec.k, p, alpha_adj, strict=strict)
         rows.append(ExperimentRow(spec.name, "color-blind", p, reference_report))
         rows.append(
             ExperimentRow(

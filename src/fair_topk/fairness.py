@@ -41,7 +41,7 @@ class MTable:
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        minima = np.asarray(self.minima, dtype=np.int64)
+        minima = np.asarray(self.minima, dtype=np.int64).view()  # the caller's stays writable
         object.__setattr__(self, "minima", minima)
         if minima.shape != (self.k,):
             raise ValueError("minima must have exactly k entries")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidatePool, RankedSequence
-from .fairness import MTable, compute_mtable, verify_ranked_group_fairness
+from .fairness import MTable, compute_mtable
 
 __all__ = [
     "FairRanking",
@@ -121,7 +121,7 @@ def fair_topk(
     stream0 = open_rows[_top_indices(pool.scores[open_rows], pool.ids[open_rows], k)]
 
     supply = stream1.shape[0]
-    required = np.pad(mtable.inverse, (0, k), constant_values=k + 1)
+    required = np.pad(mtable.inverse, (0, supply + 1), constant_values=k + 1)
     beaten = np.searchsorted(-pool.scores[stream0], -pool.scores[stream1])
     positions = np.minimum(required[:supply], np.arange(1, supply + 1) + beaten)
     positions = positions[positions <= k]
@@ -131,9 +131,8 @@ def fair_topk(
     chosen[is_protected] = stream1[: positions.shape[0]]
     chosen[~is_protected] = stream0[: k - positions.shape[0]]
 
-    entries = pool.take(chosen)
-    verdict = verify_ranked_group_fairness(entries, p, alpha_adj)
-    satisfied_up_to = k if verdict.fair else verdict.first_violation - 1
+    # every requirement up to the supply is met; the next one first fails
+    satisfied_up_to = int(required[supply]) - 1
     if strict and satisfied_up_to < k:
         raise InfeasibleRankingError(satisfied_up_to, k)
-    return FairRanking(entries, mtable, satisfied_up_to)
+    return FairRanking(pool.take(chosen), mtable, satisfied_up_to)

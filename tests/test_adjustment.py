@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fair_topk import adjust_significance, rejection_probability, simulate_rejection_rate
-from fair_topk.adjustment import FEASIBILITY_TOL
+from fair_topk.adjustment import FEASIBILITY_TOL, InfeasibleAdjustmentError
 from fair_topk.baselines import yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
 from fair_topk.candidates import RankedSequence
@@ -139,6 +139,18 @@ def test_adjust_infeasible_cells_report_conservative_value():
         assert not result.feasible
         assert 0.0 < result.alpha_adj < 1.0  # still usable, under-rejecting
         assert result.achieved_rejection_prob < 0.1 - FEASIBILITY_TOL
+
+
+def test_usable_refuses_only_a_table_that_rejects_more_than_the_target():
+    under = adjust_significance(40, 0.7, 0.1)  # infeasible: rejects 0.097 < 0.1
+    assert not under.feasible and under.usable() == under.alpha_adj
+    over = adjust_significance(60, 0.5, 1e-11)  # the floor's table rejects 3.3e-10
+    with pytest.raises(InfeasibleAdjustmentError) as excinfo:
+        over.usable()
+    assert str(excinfo.value) == (
+        "no feasible alpha_adj for k=60 p=0.500000 alpha=1e-11: "
+        "best achievable rejection 3.34398e-10 at alpha_adj=1e-10"
+    )
 
 
 def test_adjust_trivial_and_degenerate():

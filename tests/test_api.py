@@ -17,6 +17,12 @@ def test_star_import_binds_every_public_name():
     assert set(fair_topk.__all__) <= set(namespace)
 
 
+def test_the_calibration_gate_error_is_exported_once():
+    assert fair_topk.__all__.count("InfeasibleAdjustmentError") == 1
+    assert fair_topk.InfeasibleAdjustmentError is fair_topk.adjustment.InfeasibleAdjustmentError
+    assert issubclass(fair_topk.InfeasibleAdjustmentError, ValueError)
+
+
 def test_removed_names_stay_removed():
     for name in ("BinomialParams", "BlockDecomposition", "decompose_blocks"):
         assert name not in fair_topk.__all__

@@ -293,6 +293,8 @@ def test_rank_refuses_an_over_rejecting_table(capsys):
     # the same message as mtable --adjust
     assert run(capsys, "mtable", "--k", "1000", "--p", "0.5", "--alpha", "1e-11",
                "--adjust")[2] == err
+    # tiny values print as themselves, not as 0.000000
+    assert "alpha=1e-11: best achievable rejection 3.6209e-09 at alpha_adj=1e-10" in err
 
 
 def test_rank_uses_an_under_rejecting_table(capsys):
@@ -451,6 +453,26 @@ def test_experiment_csv(capsys, tmp_path):
     assert [line.split(",")[1] for line in lines[1:]] == [
         "color-blind", "fair", "feldman",
     ]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache-dir"])
+def test_experiment_refuses_what_rank_refuses(capsys, tmp_path, cached):
+    # k * SEARCH_FLOOR > alpha: the floor's table rejects 3.6e-9 > 1e-11
+    (tmp_path / "pool.csv").write_text(
+        "id,score,protected\n" + "".join(f"{i},{1000 - i},{i % 2}\n" for i in range(1000))
+    )
+    config = tmp_path / "exp.yaml"
+    config.write_text("name: demo\npath: pool.csv\nk: 1000\np_grid: [0.5]\nalpha: 1.0e-11\n")
+    refusal = run(capsys, "rank", "--k", "1000", "--p", "0.5", "--alpha", "1e-11")[2]
+    cache = tmp_path / "c"
+    argv = ["experiment", str(config)] + (["--cache-dir", str(cache)] if cached else [])
+    for _ in range(2 if cached else 1):  # with a cache: a miss, then a hit on its row
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[0] == refusal.splitlines()[0]
+    if cached:
+        assert len((cache / "adjustments.csv").read_text().splitlines()) == 2
 
 
 def test_experiment_missing_config(capsys, tmp_path):

@@ -418,6 +418,14 @@ def test_run_experiment_rejects_oversized_k(small_dataset, tmp_path):
         run_experiment(spec)
 
 
+def test_run_experiment_refuses_an_over_rejecting_table(tmp_path):
+    # k * SEARCH_FLOOR > alpha: the floor's table rejects 3.3e-10 > 1e-11
+    rows = "".join(f"{i},{60 - i},{i % 2}\n" for i in range(60))
+    spec = basic_spec(write(tmp_path / "d.csv", "id,score,protected\n" + rows), k=60, alpha=1e-11)
+    with pytest.raises(fair_topk.InfeasibleAdjustmentError, match="^no feasible alpha_adj"):
+        run_experiment(spec)
+
+
 def test_run_experiment_uses_cache_dir(small_dataset, tmp_path):
     from fair_topk.store import cached_adjustment
 

@@ -62,6 +62,13 @@ def test_blocks_reference_case():
         MTable(12, 0.5, 0.1, table.minima, inverse=table.inverse)
 
 
+def test_mtable_leaves_the_callers_array_writable():
+    minima = np.array([0, 1])
+    table = MTable(2, 0.9, 0.5, minima)
+    assert minima.flags.writeable
+    assert not table.minima.flags.writeable
+
+
 def test_blocks_small_and_empty():
     two = MTable(2, 0.9, 0.5, np.array([0, 1]))
     assert list(two.inverse) == [2] and two.inverse.dtype == np.int64

@@ -216,6 +216,12 @@ def test_protected_count_is_max_of_required_and_merit(seed, p, alpha):
     assert ranking.entries.protected_count == max(required, merit_count)
 
 
+def test_satisfied_up_to_when_every_position_is_protected():
+    # supply == k and a flat table: no requirement is left to fail
+    ranking = fair_topk(CandidatePool([1, 2], [2.5, 1.5], [True, True]), 2, 0.2, 0.05)
+    assert ranking.satisfied_up_to == 2
+
+
 # ---------------------------------------------------------------------------
 # parity with the greedy walk over positions
 
@@ -226,6 +232,8 @@ def assert_matches_greedy_walk(pool, k, p, alpha):
     assert np.array_equal(ranking.entries.scores, pool.scores[rows])
     assert np.array_equal(ranking.entries.protected, pool.protected[rows])
     assert ranking.satisfied_up_to == satisfied_up_to
+    verdict = verify_ranked_group_fairness(ranking.entries, p, alpha)
+    assert satisfied_up_to == (k if verdict.fair else verdict.first_violation - 1)
     if satisfied_up_to < k:
         with pytest.raises(InfeasibleRankingError) as excinfo:
             fair_topk(pool, k, p, alpha, strict=True)
