@@ -98,7 +98,7 @@ def main():
     write_xing_like(out / "xing.csv")
 
     for name, config in CONFIGS.items():
-        with open(out / f"{name}.yaml", "w") as fh:
+        with open(out / f"{name}.yaml", "w", encoding="utf-8") as fh:
             yaml.safe_dump(config, fh, sort_keys=False)
     print(f"wrote {len(CONFIGS)} configs to {out}/")
     print("xing.csv needs score prep, e.g.:")

@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 from fair_topk import load_spec, run_experiment
+from fair_topk.experiment import REPORT_FIELDS
+from fair_topk.output import write
 
 
 def main():
@@ -28,12 +30,12 @@ def main():
     for config in sorted(data.glob("*.yaml")):
         spec = load_spec(config)
         started = time.perf_counter()
-        report = run_experiment(spec)
+        rows = run_experiment(spec)
         elapsed = time.perf_counter() - started
         target = out / f"{spec.name}.csv"
         with open(target, "w", newline="", encoding="utf-8") as fh:
-            report.to_csv(fh)
-        print(f"{spec.name}: {len(report.rows)} rows in {elapsed:.1f}s -> {target}")
+            write(fh, REPORT_FIELDS, [row.values() for row in rows], False)
+        print(f"{spec.name}: {len(rows)} rows in {elapsed:.1f}s -> {target}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .candidates import Candidate, CandidatePool, RankedSequence
 from .experiment import (
     DataLoadError,
     DatasetSpec,
-    ExperimentReport,
     ExperimentRow,
     emit_curve_data,
     load_candidates,
@@ -58,7 +57,6 @@ __all__ = [
     "CandidatePool",
     "DataLoadError",
     "DatasetSpec",
-    "ExperimentReport",
     "ExperimentRow",
     "FairRanking",
     "FairnessVerdict",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ from .experiment import (
     REPORT_FIELDS,
     DataLoadError,
     DatasetSpec,
+    _file_faults,
     _pool_for_k,
     _read_columns,
-    _repaired,
     load_ranking,
     load_spec,
     run_experiment,
@@ -116,8 +117,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if args.method == "fair" and args.p is None:  # before any ingest
-        raise ValueError("--p is required for --method fair")
+    if args.method == "fair":  # the table is settled before any pool is read
+        if args.p is None:
+            raise ValueError("--p is required for --method fair")
+        alpha_adj = args.alpha
+        if not args.raw:
+            alpha_adj = adjust_significance(args.k, args.p, args.alpha).usable()
+        compute_mtable(args.k, args.p, alpha_adj)  # fair_topk reads it from the cache
     if args.input is None:
         generated = yang_stoyanovich_generate(
             args.k, 0.5 if args.p is None else args.p, args.seed
@@ -127,9 +133,6 @@ def cmd_rank(args) -> int:
         pool = _pool_for_k(DatasetSpec(name=Path(args.input).stem, path=args.input, k=args.k))
 
     if args.method == "fair":
-        alpha_adj = args.alpha
-        if not args.raw:
-            alpha_adj = adjust_significance(args.k, args.p, args.alpha).usable()
         result = fair_topk(pool, args.k, args.p, alpha_adj, strict=args.strict)
         if result.satisfied_up_to < args.k:
             print(
@@ -139,8 +142,8 @@ def cmd_rank(args) -> int:
             )
         ranking = result.entries
     elif args.method == "feldman":
-        repaired = feldman_repair(pool).pool if args.input is None else _repaired(pool, args.input)
-        ranking = color_blind_topk(repaired, args.k)
+        with nullcontext() if args.input is None else _file_faults(args.input):
+            ranking = color_blind_topk(feldman_repair(pool).pool, args.k)
     else:
         ranking = color_blind_topk(pool, args.k)
 
@@ -174,8 +177,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     spec = load_spec(args.config)
-    report = run_experiment(spec, args.cache_dir, strict=args.strict)
-    write(sys.stdout, REPORT_FIELDS, [row.values() for row in report.rows], args.json)
+    rows = run_experiment(spec, args.cache_dir, strict=args.strict)
+    write(sys.stdout, REPORT_FIELDS, [row.values() for row in rows], args.json)
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Optional, Sequence, Tuple, Union
@@ -30,7 +32,6 @@ __all__ = [
     "DatasetSpec",
     "DataLoadError",
     "ExperimentRow",
-    "ExperimentReport",
     "load_candidates",
     "save_candidates",
     "load_ranking",
@@ -77,6 +78,10 @@ class DatasetSpec:
         for name in ("name", "score_column", "protected_column", "protected_value", "id_column"):
             if not isinstance(getattr(self, name), str):
                 raise TypeError(f"{name} must be a string, not {getattr(self, name)!r}")
+        if not isinstance(self.path, (str, Path)):
+            raise TypeError(f"path must be a string or path, not {self.path!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise TypeError(f"alpha must be a number, not {self.alpha!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         _check_prob(self.alpha, "alpha")
@@ -120,11 +125,13 @@ def _read_columns(source, label: str, parsers: dict, optional=()) -> dict:
     return columns
 
 
-def _container(cls, label: str, ids, scores, flags):
-    """Build a pool or ranking from loaded columns; bad values are data errors."""
+@contextmanager
+def _file_faults(label):
+    """Report a bad value or type raised inside, while building from a file's
+    contents, as a DataLoadError that names the file."""
     try:
-        return cls(ids, scores, flags)
-    except ValueError as exc:
+        yield
+    except (TypeError, ValueError) as exc:
         raise DataLoadError(f"{label}: {exc}") from None
 
 
@@ -211,7 +218,8 @@ def load_candidates(spec: DatasetSpec) -> CandidatePool:
     columns = _parse_plain_pool(spec)
     if columns is None:
         columns = _stream_pool(spec, label)
-    return _container(CandidatePool, label, *columns)
+    with _file_faults(label):
+        return CandidatePool(*columns)
 
 
 def _pool_for_k(spec: DatasetSpec) -> CandidatePool:
@@ -220,15 +228,6 @@ def _pool_for_k(spec: DatasetSpec) -> CandidatePool:
     if spec.k > len(pool):
         raise DataLoadError(f"{spec.path}: k={spec.k} exceeds pool size {len(pool)}")
     return pool
-
-
-def _repaired(pool: CandidatePool, path) -> CandidatePool:
-    """The quantile-repaired pool of a pool read from ``path``; a pool with an
-    empty group is a data error that names the file."""
-    try:
-        return feldman_repair(pool).pool
-    except ValueError as exc:
-        raise DataLoadError(f"{path}: {exc}") from None
 
 
 def save_candidates(pool: CandidatePool, path) -> None:
@@ -254,9 +253,8 @@ def load_ranking(source: Union[str, Path, IO]) -> RankedSequence:
     if not ids:
         raise DataLoadError(f"{label}: no rows")
     scores = columns.get("score", [0.0] * len(ids))
-    return _container(
-        RankedSequence, label, np.array(ids, dtype=object), scores, columns["protected"]
-    )
+    with _file_faults(label):
+        return RankedSequence(np.array(ids, dtype=object), scores, columns["protected"])
 
 
 def load_spec(path) -> DatasetSpec:
@@ -281,10 +279,8 @@ def load_spec(path) -> DatasetSpec:
     missing = {"name", "path", "k"} - set(mapping)
     if missing:
         raise DataLoadError(f"{path}: missing config keys {sorted(missing)}")
-    try:
+    with _file_faults(path):
         spec = DatasetSpec(**mapping)
-    except (TypeError, ValueError) as exc:
-        raise DataLoadError(f"{path}: {exc}") from None
     data_path = Path(spec.path)
     if not data_path.is_absolute():
         spec = replace(spec, path=path.parent / data_path)
@@ -305,32 +301,26 @@ class ExperimentRow:
                 r.ordering_utility_loss, r.max_rank_drop, r.selection_utility_loss)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    rows: Tuple[ExperimentRow, ...]
-
-    def to_csv(self, stream: IO) -> None:
-        write(stream, REPORT_FIELDS, [row.values() for row in self.rows], False)
-
-
 def run_experiment(
     spec: DatasetSpec,
     cache_dir: Optional[Path] = None,
     strict: bool = False,
-) -> ExperimentReport:
+) -> Tuple[ExperimentRow, ...]:
     """Rank the spec's pool with every method across its p grid and score them.
 
-    One report row per (method, p) cell; the color-blind and repaired
-    rankings do not depend on p, so their rows repeat across the grid.
+    One row per (method, p) cell; the color-blind and repaired rankings do
+    not depend on p, so their rows repeat across the grid.  Every p is
+    calibrated, and a refused one stops the run, before the pool is read.
     """
+    alphas = [cached_adjustment(spec.k, p, spec.alpha, cache_dir).usable() for p in spec.p_grid]
     pool = _pool_for_k(spec)
     reference = color_blind_topk(pool, spec.k)
     reference_report = evaluate_ranking(pool, reference)
-    repaired = color_blind_topk(_repaired(pool, spec.path), spec.k)
+    with _file_faults(spec.path):  # a pool with an empty group cannot be repaired
+        repaired = color_blind_topk(feldman_repair(pool).pool, spec.k)
     repaired_report = evaluate_ranking(pool, repaired)
     rows = []
-    for p in spec.p_grid:
-        alpha_adj = cached_adjustment(spec.k, p, spec.alpha, cache_dir).usable()
+    for p, alpha_adj in zip(spec.p_grid, alphas):
         constrained = fair_topk(pool, spec.k, p, alpha_adj, strict=strict)
         rows.append(ExperimentRow(spec.name, "color-blind", p, reference_report))
         rows.append(
@@ -339,7 +329,7 @@ def run_experiment(
             )
         )
         rows.append(ExperimentRow(spec.name, "feldman", p, repaired_report))
-    return ExperimentReport(tuple(rows))
+    return tuple(rows)
 
 
 CURVE_FIELDS = (

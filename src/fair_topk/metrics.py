@@ -36,6 +36,8 @@ def normalize_scores(pool: CandidatePool) -> CandidatePool:
     hi = float(pool.scores.max())
     if hi == lo:
         return pool.with_scores(np.ones(len(pool)))
+    if math.isinf(hi - lo):  # the halved scores keep their order, in a finite range
+        return normalize_scores(pool.with_scores(pool.scores / 2))
     return pool.with_scores((pool.scores - lo) / (hi - lo))
 
 

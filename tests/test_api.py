@@ -24,6 +24,6 @@ def test_the_calibration_gate_error_is_exported_once():
 
 
 def test_removed_names_stay_removed():
-    for name in ("BinomialParams", "BlockDecomposition", "decompose_blocks"):
+    for name in ("BinomialParams", "BlockDecomposition", "decompose_blocks", "ExperimentReport"):
         assert name not in fair_topk.__all__
         assert not hasattr(fair_topk, name)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fair_topk import cli
+from fair_topk import cli, experiment
 from fair_topk.candidates import CandidatePool
 from fair_topk.experiment import save_candidates
 from fair_topk.ranker import color_blind_topk
@@ -305,6 +305,20 @@ def test_rank_uses_an_under_rejecting_table(capsys):
     assert len(out.splitlines()) == 41
 
 
+def _unread(spec):
+    raise AssertionError("the pool was read")
+
+
+def test_rank_settles_the_table_before_it_reads_the_pool(capsys, tmp_path, monkeypatch):
+    refusal = run(capsys, "rank", "--k", "1000", "--p", "0.5", "--alpha", "1e-11")[2]
+    monkeypatch.setattr(experiment, "load_candidates", _unread)
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, "rank", missing, "--k", "1000", "--p", "0.5", "--alpha", "1e-11")
+    assert (code, out, err) == (1, "", refusal)
+    code, out, err = run(capsys, "rank", missing, "--k", "5", "--p", "0.5", "--raw", "--alpha", "2")
+    assert (code, out, err) == (2, "", "error: alpha_adj must lie in the open interval (0, 1)\n")
+
+
 def test_rank_synthetic_pool_is_seeded(capsys):
     code, first, _ = run(
         capsys, "rank", "--k", "12", "--p", "0.5", "--seed", "3", "--raw"
@@ -475,6 +489,33 @@ def test_experiment_refuses_what_rank_refuses(capsys, tmp_path, cached):
         assert len((cache / "adjustments.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("pool", ["missing", "smaller-than-k"])
+def test_experiment_refuses_before_it_reads_the_pool(capsys, tmp_path, monkeypatch, pool):
+    if pool != "missing":
+        (tmp_path / "pool.csv").write_text(POOL)
+    config = tmp_path / "exp.yaml"
+    config.write_text("name: demo\npath: pool.csv\nk: 1000\np_grid: [0.5]\nalpha: 1.0e-11\n")
+    refusal = run(capsys, "rank", "--k", "1000", "--p", "0.5", "--alpha", "1e-11")[2]
+    monkeypatch.setattr(experiment, "load_candidates", _unread)
+    assert run(capsys, "experiment", str(config)) == (1, "", refusal)
+
+
+def test_experiment_on_a_pool_whose_score_range_overflows(capsys, recwarn, tmp_path):
+    (tmp_path / "pool.csv").write_text(
+        "id,score,protected\n1,1e308,0\n2,5e307,1\n3,0,0\n4,-1e308,1\n"
+    )
+    config = tmp_path / "exp.yaml"
+    config.write_text("name: demo\npath: pool.csv\nk: 2\np_grid: [0.5]\n")
+    code, out, err = run(capsys, "experiment", str(config))
+    assert (code, err) == (0, "")
+    assert [line.split(",")[1:5] for line in out.splitlines()[1:]] == [
+        ["color-blind", "0.500000", "0.500000", "1.000000"],
+        ["fair", "0.500000", "0.500000", "1.000000"],
+        ["feldman", "0.500000", "0.500000", "1.000000"],
+    ]
+    assert [str(warning.message) for warning in recwarn] == []
+
+
 def test_experiment_missing_config(capsys, tmp_path):
     code, _, err = run(capsys, "experiment", str(tmp_path / "absent.yaml"))
     assert code == 3
@@ -486,6 +527,9 @@ def test_experiment_missing_config(capsys, tmp_path):
         ("protected_value: 1", "protected_value"),  # an unquoted YAML integer
         ("k: 2.5", "k"),
         ('higher_is_better: "no"', "higher_is_better"),  # a string, not false
+        ("path: 5", "path"),
+        ("path: [pool.csv]", "path"),
+        ("alpha: 1e-11", "alpha"),  # YAML reads it as a string
     ],
 )
 def test_experiment_config_field_of_wrong_type_exits_three(capsys, tmp_path, line, field):

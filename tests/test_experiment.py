@@ -13,9 +13,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import fair_topk
 from fair_topk.datasets import write_compas_like, write_german_credit_like
 from fair_topk.experiment import (
+    REPORT_FIELDS,
     DataLoadError,
     DatasetSpec,
-    _container,
+    ExperimentRow,
+    _file_faults,
     _is_plain,
     _parse_plain_pool,
     _stream_pool,
@@ -27,6 +29,7 @@ from fair_topk.experiment import (
     save_candidates,
 )
 from fair_topk.candidates import CandidatePool
+from fair_topk.output import write as write_rows
 
 REPORT_HEADER = (
     "dataset,method,p,pct_protected_output,ndcg,ordering_utility_loss,rank_drop,"
@@ -166,7 +169,8 @@ def pool_files(draw):
 
 def _pool_or_error(label, columns):
     try:
-        return _container(CandidatePool, label, *columns)
+        with _file_faults(label):
+            return CandidatePool(*columns)
     except DataLoadError as exc:
         return str(exc)
 
@@ -224,8 +228,9 @@ def test_experiment_pools_take_the_c_parser(tmp_path):
     for spec in specs:
         plain = _parse_plain_pool(spec)
         assert plain is not None
-        fast = _container(CandidatePool, "pool", *plain)
-        slow = _container(CandidatePool, "pool", *_stream_pool(spec, "pool"))
+        with _file_faults("pool"):
+            fast = CandidatePool(*plain)
+            slow = CandidatePool(*_stream_pool(spec, "pool"))
         assert fast.ids.tolist() == slow.ids.tolist()
         assert fast.scores.tolist() == slow.scores.tolist()
         assert fast.protected.tolist() == slow.protected.tolist()
@@ -287,6 +292,21 @@ def test_run_experiments_script_names_its_encoding(tmp_path):
     assert [line.split(",")[:2] for line in lines[1:]] == [
         ["démo", "color-blind"], ["démo", "fair"], ["démo", "feldman"],
     ]
+
+
+def test_make_datasets_script_names_its_encoding(tmp_path):
+    # the YAML configs are written as UTF-8 whatever the locale
+    root = Path(fair_topk.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         str(root / "scripts" / "make_datasets.py"), "--out", str(tmp_path), "--sat-n", "200"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(fair_topk.__file__).resolve().parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    for config in sorted(tmp_path.glob("*.yaml")):
+        assert load_spec(config).path.exists()
+    assert len(list(tmp_path.glob("*.yaml"))) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +393,22 @@ def test_dataset_spec_validation():
     assert spec.p_grid == (0.3, 0.5)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("path: 5", "path must be a string or path, not 5"),
+    ("path: [pool.csv]", "path must be a string or path, not ['pool.csv']"),
+    # YAML reads a float without a dot in its mantissa as a string
+    ("alpha: 1e-11", "alpha must be a number, not '1e-11'"),
+    ("alpha: true", "alpha must be a number, not True"),
+])
+def test_load_spec_names_a_path_or_alpha_of_the_wrong_type(tmp_path, line, message):
+    fields = {"name": "name: demo", "path": "path: pool.csv", "k": "k: 4"}
+    fields[line.split(":")[0]] = line
+    config = write(tmp_path / "exp.yaml", "\n".join(fields.values()) + "\n")
+    with pytest.raises(DataLoadError) as caught:
+        load_spec(config)
+    assert str(caught.value) == f"{config}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # the experiment protocol
 
@@ -386,23 +422,26 @@ def small_dataset(tmp_path):
 
 
 def test_run_experiment_row_structure(small_dataset):
-    report = run_experiment(small_dataset)
-    assert len(report.rows) == 6  # three methods x two grid points
-    assert [row.method for row in report.rows] == [
+    rows = run_experiment(small_dataset)
+    assert type(rows) is tuple
+    assert all(type(row) is ExperimentRow for row in rows)
+    assert len(rows) == 6  # three methods x two grid points
+    assert [row.method for row in rows] == [
         "color-blind", "fair", "feldman", "color-blind", "fair", "feldman",
     ]
-    assert [row.p for row in report.rows[:3]] == [0.3, 0.3, 0.3]
+    assert [row.p for row in rows[:3]] == [0.3, 0.3, 0.3]
     # the reference rows do not depend on p
-    assert report.rows[0].report == report.rows[3].report
-    assert report.rows[2].report == report.rows[5].report
+    assert rows[0].report == rows[3].report
+    assert rows[2].report == rows[5].report
     # color-blind is the utility reference
-    assert report.rows[0].report.ndcg == pytest.approx(1.0)
-    assert report.rows[0].report.selection_utility_loss == 0.0
+    assert rows[0].report.ndcg == pytest.approx(1.0)
+    assert rows[0].report.selection_utility_loss == 0.0
 
 
 def test_run_experiment_csv_shape(small_dataset):
     stream = io.StringIO()
-    run_experiment(small_dataset).to_csv(stream)
+    rows = run_experiment(small_dataset)
+    write_rows(stream, REPORT_FIELDS, [row.values() for row in rows], False)
     lines = stream.getvalue().splitlines()
     assert lines[0] == REPORT_HEADER
     assert len(lines) == 7
@@ -424,6 +463,24 @@ def test_run_experiment_refuses_an_over_rejecting_table(tmp_path):
     spec = basic_spec(write(tmp_path / "d.csv", "id,score,protected\n" + rows), k=60, alpha=1e-11)
     with pytest.raises(fair_topk.InfeasibleAdjustmentError, match="^no feasible alpha_adj"):
         run_experiment(spec)
+
+
+def test_run_experiment_refuses_before_it_reads_the_pool(tmp_path, monkeypatch):
+    def unread(spec):
+        raise AssertionError("the pool was read")
+
+    monkeypatch.setattr(fair_topk.experiment, "load_candidates", unread)
+    spec = basic_spec(tmp_path / "absent.csv", k=1000, alpha=1e-11)
+    with pytest.raises(fair_topk.InfeasibleAdjustmentError, match="^no feasible alpha_adj"):
+        run_experiment(spec)
+
+
+def test_run_experiment_caches_every_p_before_it_reads_the_pool(tmp_path):
+    spec = basic_spec(tmp_path / "absent.csv", k=10, p_grid=(0.3, 0.5))
+    cache = tmp_path / "cache"
+    with pytest.raises(DataLoadError, match="no such file"):
+        run_experiment(spec, cache_dir=cache)
+    assert len((cache / "adjustments.csv").read_text().splitlines()) == 3
 
 
 def test_run_experiment_uses_cache_dir(small_dataset, tmp_path):
@@ -452,11 +509,11 @@ def test_german_credit_trend(tmp_path):
         protected_value="yes",
         p_grid=(0.15, 0.3, 0.4),
     )
-    report = run_experiment(spec)
-    fair_rows = [row for row in report.rows if row.method == "fair"]
+    rows = run_experiment(spec)
+    fair_rows = [row for row in rows if row.method == "fair"]
     shares = [row.report.protected_share for row in fair_rows]
     ndcgs = [row.report.ndcg for row in fair_rows]
-    blind = report.rows[0].report
+    blind = rows[0].report
 
     assert blind.protected_share == pytest.approx(0.09)  # seeded anchor
     assert blind.ndcg == pytest.approx(1.0)

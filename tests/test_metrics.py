@@ -252,6 +252,21 @@ def test_report_normalizes_over_the_pool():
     assert report.protected_share == 0.5
 
 
+def test_report_on_a_pool_whose_score_range_overflows(recwarn):
+    # every score is finite, but 1e308 - (-1e308) is not
+    pool = CandidatePool([1, 2, 3, 4], [1e308, 5e307, 0.0, -1e308], [0, 1, 0, 1])
+    assert normalize_scores(pool).scores.tolist() == [1.0, 0.75, 0.5, 0.0]
+    ranking = fair_topk(pool, 2, 0.9, 0.05).entries  # minima [0, 1] forces id 2
+    assert ranking.ids.tolist() == [1, 2]
+    report = evaluate_ranking(pool, ranking)
+    assert report.selection_utility_loss == 0.0
+    assert report.ordering_utility_loss == 0.0
+    report = evaluate_ranking(pool, RankedSequence([1, 4], [1e308, -1e308], [0, 1]))
+    assert report.selection_utility_loss == pytest.approx(0.75)
+    assert report.worst_selection_candidate == 2
+    assert len(recwarn) == 0
+
+
 def test_report_selection_witness_prefers_smallest_id():
     # two excluded candidates tie on the worst utility: report the smaller id
     pool = CandidatePool([5, 9, 2, 7], [1.0, 0.8, 0.8, 0.0], [1, 0, 0, 0])
