@@ -35,7 +35,7 @@ from .experiment import (
     run_experiment,
 )
 from .fairness import compute_mtable, verify_ranked_group_fairness
-from .output import _alpha_text, dump, prob, record, write
+from .output import dump, record, write
 from .ranker import InfeasibleRankingError, color_blind_topk, fair_topk
 
 EXIT_OK = 0
@@ -62,41 +62,23 @@ SIMULATE = (("k", "count"), ("p", "prob"), ("alpha_adj", "alpha"), ("trials", "c
 PREP_XING = (("id", "text"), ("score", "count"), ("protected", "flag"))
 
 
-def _adjustment_row(r) -> tuple:
-    return r.k, r.p, r.alpha_target, r.alpha_adj, r.achieved_rejection_prob, r.feasible
-
-
 # ---------------------------------------------------------------- commands
 
 
 def cmd_mtable(args) -> int:
-    adjustment = None
-    alpha = args.alpha
-    if args.adjust:
-        adjustment = adjust_significance(args.k, args.p, args.alpha)
-        if not adjustment.feasible:  # stricter than usable(): no under-rejecting table
-            raise InfeasibleAdjustmentError(adjustment)
-        alpha = adjustment.alpha_adj
-    minima = compute_mtable(args.k, args.p, alpha).minima.tolist()
+    minima = compute_mtable(args.k, args.p, args.alpha).minima.tolist()
     if args.json:
-        payload = record(MTABLE, (args.k, args.p, args.alpha, minima))
-        if adjustment is not None:
-            payload["adjustment"] = record(ADJUST, _adjustment_row(adjustment))
-        dump(sys.stdout, payload)
-        return EXIT_OK
-    if adjustment is not None:
-        print(
-            f"# alpha_adj={_alpha_text(adjustment.alpha_adj)} "
-            f"achieved={prob(adjustment.achieved_rejection_prob)} feasible=true"
-        )
-    write(sys.stdout, MTABLE_ROWS, enumerate(minima, start=1), False)
+        dump(sys.stdout, record(MTABLE, (args.k, args.p, args.alpha, minima)))
+    else:
+        write(sys.stdout, MTABLE_ROWS, enumerate(minima, start=1), False)
     return EXIT_OK
 
 
 def cmd_adjust(args) -> int:
-    result = adjust_significance(args.k, args.p, args.alpha)
-    write(sys.stdout, ADJUST, _adjustment_row(result), args.json)
-    return EXIT_OK if result.feasible else EXIT_VERDICT
+    r = adjust_significance(args.k, args.p, args.alpha)
+    row = (r.k, r.p, r.alpha_target, r.alpha_adj, r.achieved_rejection_prob, r.feasible)
+    write(sys.stdout, ADJUST, row, args.json)
+    return EXIT_OK if r.feasible else EXIT_VERDICT
 
 
 def cmd_verify(args) -> int:
@@ -221,18 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
         "mtable",
         help="print per-position minimum protected counts",
         description="Minimum number of protected candidates required at each "
-        "ranking prefix 1..k for the binomial test at the given significance.",
+        "ranking prefix 1..k for the binomial test at the given significance. "
+        "Pass the alpha_adj that adjust prints to get the calibrated table.",
         epilog=_EXIT_HELP,
     )
     s.add_argument("--k", type=int, required=True, help="ranking length")
     s.add_argument("--p", type=float, required=True, help="target protected proportion")
     s.add_argument("--alpha", type=float, required=True, help="significance level")
-    s.add_argument(
-        "--adjust",
-        action="store_true",
-        help="correct alpha for the k dependent prefix tests first "
-        "(exit 1 with a diagnostic if no feasible correction exists)",
-    )
     _add_common(s)
     s.set_defaults(handler=cmd_mtable)
 

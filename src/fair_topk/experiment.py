@@ -70,7 +70,12 @@ class DatasetSpec:
     alpha: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        grid = self.p_grid
+        if not isinstance(grid, (list, tuple)) or not all(
+            isinstance(p, numbers.Real) and not isinstance(p, bool) for p in grid
+        ):
+            raise TypeError(f"p_grid must be a list of numbers, not {grid!r}")
+        object.__setattr__(self, "p_grid", tuple(float(p) for p in grid))
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
             raise TypeError(f"k must be an integer, not {self.k!r}")
         if not isinstance(self.higher_is_better, bool):

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from fair_topk import cli
-from fair_topk.adjustment import _shortest_inside, adjust_significance, rejection_probability
+from fair_topk.adjustment import (
+    SEARCH_FLOOR,
+    _shortest_inside,
+    adjust_significance,
+    rejection_probability,
+)
 from fair_topk.binomial import _table_walk, cdf, minimum_counts, table_plateau
 from fair_topk.fairness import compute_mtable
 
@@ -113,14 +118,15 @@ def test_printed_alpha_adj_round_trips_at_large_k(capsys, monkeypatch):
         assert_largest_feasible_table(cell, printed, calibrated)
 
 
-def test_mtable_adjust_prints_a_table_within_alpha(capsys):
-    code = cli.main(["mtable", "--k", "100", "--p", "0.5", "--alpha", "0.1", "--adjust"])
+def test_mtable_at_the_printed_alpha_adj_rejects_within_alpha(capsys):
+    assert cli.main(["adjust", "--k", "100", "--p", "0.5", "--alpha", "0.1"]) == 0
+    alpha_adj = capsys.readouterr().out.splitlines()[1].split(",")[3]
+    code = cli.main(["mtable", "--k", "100", "--p", "0.5", "--alpha", alpha_adj])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    alpha_adj = float(lines[0].split()[1].split("=")[1])
-    printed = np.array([int(line.split(",")[1]) for line in lines[2:]])
-    assert np.array_equal(printed, minimum_counts(100, 0.5, alpha_adj))
-    assert rejection_probability(100, 0.5, alpha_adj) <= 0.1
+    printed = np.array([int(line.split(",")[1]) for line in lines[1:]])
+    assert np.array_equal(printed, minimum_counts(100, 0.5, float(alpha_adj)))
+    assert rejection_probability(100, 0.5, float(alpha_adj)) <= 0.1
 
 
 def test_target_below_what_the_search_floor_meets_is_infeasible(capsys):
@@ -131,7 +137,19 @@ def test_target_below_what_the_search_floor_meets_is_infeasible(capsys):
     code = cli.main(["adjust", "--k", "1000", "--p", "0.5", "--alpha", "1e-11"])
     assert code == 1
     assert capsys.readouterr().out.splitlines()[1].endswith(",false")
-    code = cli.main(["mtable", "--k", "1000", "--p", "0.5", "--alpha", "1e-11", "--adjust"])
+    code = cli.main(["rank", "--k", "1000", "--p", "0.5", "--alpha", "1e-11"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == "" and err.startswith("error: no feasible alpha_adj")
+
+
+def test_target_below_the_union_bound_that_the_search_floor_meets_is_usable():
+    # k * SEARCH_FLOOR > alpha, yet the floor's table meets alpha: the search
+    # goes on above the floor's plateau
+    assert 100 * SEARCH_FLOOR > 5e-9
+    result = adjust_significance(100, 0.5, 5e-9)
+    assert result.feasible and result.alpha_adj > SEARCH_FLOOR
+    alpha_adj = result.usable()
+    assert alpha_adj == result.alpha_adj
+    # compute_mtable(100, 0.5, alpha_adj) rebuilds the table calibration evaluated
+    assert rejection_probability(100, 0.5, alpha_adj) == result.achieved_rejection_prob <= 5e-9

@@ -11,6 +11,7 @@ import pytest
 from fair_topk import cli, experiment
 from fair_topk.candidates import CandidatePool
 from fair_topk.experiment import save_candidates
+from fair_topk.fairness import compute_mtable
 from fair_topk.ranker import color_blind_topk
 
 
@@ -46,24 +47,27 @@ def test_mtable_tiny_k_forced(capsys):
     assert out.splitlines()[1] == "1,1"
 
 
-def test_mtable_adjust_prints_comment(capsys):
-    code, out, _ = run(
-        capsys, "mtable", "--k", "100", "--p", "0.5", "--alpha", "0.1", "--adjust"
-    )
+def test_adjust_then_mtable_prints_the_calibrated_table(capsys):
+    code, out, _ = run(capsys, "adjust", "--k", "100", "--p", "0.5", "--alpha", "0.1")
+    assert code == 0
+    assert out.splitlines()[1] == "100,0.500000,0.100000,0.020300,0.099951,true"
+    code, out, _ = run(capsys, "mtable", "--k", "100", "--p", "0.5", "--alpha", "0.020300")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "# alpha_adj=0.020300 achieved=0.099951 feasible=true"
-    assert lines[1] == "position,minimum"
-    assert len(lines) == 102
+    assert lines[0] == "position,minimum"
+    assert len(lines) == 101
 
 
-def test_mtable_adjust_infeasible_exits_one(capsys):
-    code, out, err = run(
-        capsys, "mtable", "--k", "40", "--p", "0.1", "--alpha", "0.1", "--adjust"
-    )
+def test_adjust_then_mtable_on_an_infeasible_cell(capsys):
+    # the step structure leaves the target unreachable: adjust exits 1 but
+    # prints the conservative alpha_adj, whose table rank uses
+    code, out, _ = run(capsys, "adjust", "--k", "40", "--p", "0.1", "--alpha", "0.1")
     assert code == 1
-    assert out == ""
-    assert "no feasible alpha_adj" in err
+    assert out.splitlines()[1] == "40,0.100000,0.100000,0.080000,0.079766,false"
+    code, out, _ = run(capsys, "mtable", "--k", "40", "--p", "0.1", "--alpha", "0.080000")
+    assert code == 0
+    minima = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert minima == compute_mtable(40, 0.1, 0.08).minima.tolist()
 
 
 def test_mtable_json(capsys):
@@ -206,6 +210,12 @@ def test_verify_missing_file_is_data_error(capsys, tmp_path):
     assert "no such file" in err
 
 
+def test_verify_header_only_ranking_is_data_error(capsys, tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("id,protected\n")
+    assert run(capsys, "verify", str(path), "--p", "0.4") == (3, "", f"error: {path}: no rows\n")
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -285,14 +295,16 @@ def test_rank_nonstrict_exhaustion_warns(capsys, tmp_path):
     assert len(out.splitlines()) == 5  # full ranking still emitted
 
 
-def test_rank_refuses_an_over_rejecting_table(capsys):
+def test_rank_refuses_an_over_rejecting_table(capsys, tmp_path):
     code, out, err = run(capsys, "rank", "--k", "1000", "--p", "0.5", "--alpha", "1e-11")
     assert code == 1
     assert out == ""
     assert err.startswith("error: no feasible alpha_adj for k=1000 p=0.500000 ")
-    # the same message as mtable --adjust
-    assert run(capsys, "mtable", "--k", "1000", "--p", "0.5", "--alpha", "1e-11",
-               "--adjust")[2] == err
+    # the same message as verify --adjusted on a ranking of the same length
+    path = tmp_path / "r.csv"
+    path.write_text(flags_csv([i % 2 for i in range(1000)]))
+    assert run(capsys, "verify", str(path), "--p", "0.5", "--alpha", "1e-11",
+               "--adjusted") == (1, "", err)
     # tiny values print as themselves, not as 0.000000
     assert "alpha=1e-11: best achievable rejection 3.6209e-09 at alpha_adj=1e-10" in err
 
@@ -530,6 +542,10 @@ def test_experiment_missing_config(capsys, tmp_path):
         ("path: 5", "path"),
         ("path: [pool.csv]", "path"),
         ("alpha: 1e-11", "alpha"),  # YAML reads it as a string
+        ("p_grid: 0.5", "p_grid"),
+        ('p_grid: "0.35"', "p_grid"),
+        ('p_grid: "05"', "p_grid"),  # not the grid (0.0, 5.0)
+        ("p_grid: [true]", "p_grid"),
     ],
 )
 def test_experiment_config_field_of_wrong_type_exits_three(capsys, tmp_path, line, field):
@@ -598,6 +614,13 @@ def test_prep_xing_multiple_queries_need_choice(capsys, tmp_path):
     code, _, err = run(capsys, "prep-xing", str(path))
     assert code == 3
     assert "--query" in err
+
+
+def test_prep_xing_query_without_rows_is_data_error(capsys, tmp_path):
+    path = tmp_path / "profiles.csv"
+    path.write_text(XING)
+    code, out, err = run(capsys, "prep-xing", str(path), "--query", "nobody")
+    assert (code, out, err) == (3, "", f"error: {path}: no rows for query 'nobody'\n")
 
 
 def test_prep_xing_pipes_into_rank(capsys, tmp_path):
@@ -696,14 +719,15 @@ def test_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--adjust", "--cache-dir", "DIR"),
+    ("mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--cache-dir", "DIR"),
+    ("mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--adjust"),
     ("adjust", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--cache-dir", "DIR"),
     ("verify", "-", "--p", "0.5", "--adjusted", "--cache-dir", "DIR"),
     ("rank", "--k", "10", "--p", "0.5", "--cache-dir", "DIR"),
     ("verify", "-", "--p", "0.5", "--raw"),
     ("verify", "-", "--p", "0.5", "--adjusted", "--raw"),
-], ids=["mtable-cache-dir", "adjust-cache-dir", "verify-cache-dir", "rank-cache-dir",
-        "verify-raw", "verify-adjusted-raw"])
+], ids=["mtable-cache-dir", "mtable-adjust", "adjust-cache-dir", "verify-cache-dir",
+        "rank-cache-dir", "verify-raw", "verify-adjusted-raw"])
 def test_removed_flags_are_unrecognized(capsys, tmp_path, monkeypatch, argv):
     # one-shot commands calibrate in-process; only experiment keeps a cache
     monkeypatch.setattr(sys, "stdin", io.StringIO(ANALYST))
@@ -718,7 +742,7 @@ def test_removed_flags_are_unrecognized(capsys, tmp_path, monkeypatch, argv):
 def test_cache_dir_env_variable_is_ignored(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FAIR_TOPK_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.chdir(tmp_path)
-    assert run(capsys, "mtable", "--k", "10", "--p", "0.5", "--alpha", "0.1", "--adjust")[0] == 0
+    assert run(capsys, "adjust", "--k", "10", "--p", "0.5", "--alpha", "0.1")[0] == 0
     assert run(capsys, "rank", "--k", "10", "--p", "0.5")[0] == 0
     assert list(tmp_path.iterdir()) == []  # no file, here or in the named directory
 

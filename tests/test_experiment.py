@@ -389,8 +389,10 @@ def test_dataset_spec_validation():
         DatasetSpec(name="x", path="d.csv", k=1, alpha=1.0)
     with pytest.raises(ValueError):
         DatasetSpec(name="x", path="d.csv", k=1, p_grid=(0.5, 1.5))
-    spec = DatasetSpec(name="x", path="d.csv", k=1, p_grid=["0.3", 0.5])
+    spec = DatasetSpec(name="x", path="d.csv", k=1, p_grid=[0.3, 0.5])
     assert spec.p_grid == (0.3, 0.5)
+    with pytest.raises(TypeError, match=r"^p_grid must be a list of numbers, not \['0.3', 0.5\]$"):
+        DatasetSpec(name="x", path="d.csv", k=1, p_grid=["0.3", 0.5])
 
 
 @pytest.mark.parametrize("line, message", [
