@@ -8,6 +8,7 @@ import numpy as np
 
 from .binomial import _check_prob
 from .candidates import CandidatePool, RankedSequence
+from .ranker import _blocks
 
 __all__ = ["RepairedPool", "feldman_repair", "yang_stoyanovich_generate"]
 
@@ -37,8 +38,9 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     one sort of the int64 keys run * m + place that puts each run of tied
     scores back in id order (place is the index in id order, so the keys stay
     below m**2, which int64 holds for m < 3e9), and an in-place sort of the
-    non-protected scores.  Each intermediate is released once used.  The ids
-    and flags are shared with the input pool, not validated again.
+    non-protected scores.  Each intermediate is released once used, and the
+    repaired scores are looked up a block of ranks at a time.  The ids and
+    flags are shared with the input pool, not validated again.
     """
     by_id = np.flatnonzero(pool.protected)
     m, n = by_id.shape[0], len(pool) - by_id.shape[0]
@@ -62,11 +64,18 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     # an index gather: numpy's boolean-mask gather takes several times as long
     open_scores = pool.scores[np.flatnonzero(~pool.protected)]
     open_scores.sort()
-    ranks = np.arange(1, m + 1, dtype=np.int64)
-    repaired = open_scores[(ranks * n + m - 1) // m - 1]  # ceil(rank * n / m) - 1, exactly
-    del open_scores, ranks
+    repaired = np.empty(m)
+    for start, stop in _blocks(m):
+        index = np.arange(start + 1, stop + 1, dtype=np.int64)  # the ranks
+        index *= n  # then ceil(rank * n / m) - 1, exactly
+        index += m - 1
+        index //= m
+        index -= 1
+        repaired[start:stop] = open_scores[index]
+    del open_scores
     scores = pool.scores.copy()
     scores[order] = repaired
+    del order, repaired
     return RepairedPool(pool.with_scores(scores))
 
 

@@ -27,6 +27,7 @@ from .experiment import (
     REPORT_FIELDS,
     DataLoadError,
     DatasetSpec,
+    _check_room,
     _file_faults,
     _pool_for_k,
     _read_columns,
@@ -99,9 +100,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.method == "fair" and args.p is None:
+        raise ValueError("--p is required for --method fair")
+    spec = None
+    if args.input is not None:
+        spec = DatasetSpec(name=Path(args.input).stem, path=args.input, k=args.k)
     if args.method == "fair":  # the table is settled before any pool is read
-        if args.p is None:
-            raise ValueError("--p is required for --method fair")
+        if spec is not None:
+            _check_room(spec)  # unless the file is too short to hold k rows
         alpha_adj = args.alpha
         if not args.raw:
             alpha_adj = adjust_significance(args.k, args.p, args.alpha).usable()
@@ -112,7 +118,7 @@ def cmd_rank(args) -> int:
         )
         pool = CandidatePool(generated.ids, generated.scores, generated.protected)
     else:
-        pool = _pool_for_k(DatasetSpec(name=Path(args.input).stem, path=args.input, k=args.k))
+        pool = _pool_for_k(spec)
 
     if args.method == "fair":
         result = fair_topk(pool, args.k, args.p, alpha_adj, strict=args.strict)

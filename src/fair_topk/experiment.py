@@ -235,6 +235,22 @@ def _pool_for_k(spec: DatasetSpec) -> CandidatePool:
     return pool
 
 
+def _check_room(spec: DatasetSpec) -> None:
+    """Read the spec's pool now if its file is too short to hold k rows, so
+    that _pool_for_k's error comes before any calibration for k.
+
+    A header and k rows are k + 1 lines of at least a byte each, joined by k
+    line ends, so a file of at most 2k bytes holds fewer than k rows.  That
+    takes one stat; a file that cannot be stat'ed is left to the reader.
+    """
+    try:
+        size = Path(spec.path).stat().st_size
+    except OSError:
+        return
+    if size <= 2 * spec.k:
+        _pool_for_k(spec)
+
+
 def save_candidates(pool: CandidatePool, path) -> None:
     """Write a pool as the minimal id,score,protected schema (round-trips)."""
     fields = (("id", "text"), ("score", "score"), ("protected", "flag"))
@@ -315,8 +331,10 @@ def run_experiment(
 
     One row per (method, p) cell; the color-blind and repaired rankings do
     not depend on p, so their rows repeat across the grid.  Every p is
-    calibrated, and a refused one stops the run, before the pool is read.
+    calibrated, and a refused one stops the run, before the pool is read,
+    unless the pool's file is too short to hold k rows.
     """
+    _check_room(spec)
     alphas = [cached_adjustment(spec.k, p, spec.alpha, cache_dir).usable() for p in spec.p_grid]
     pool = _pool_for_k(spec)
     reference = color_blind_topk(pool, spec.k)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .candidates import CandidatePool, RankedSequence
-from .ranker import color_blind_topk
+from .ranker import _blocks, color_blind_topk
 
 __all__ = [
     "UtilityReport",
@@ -38,20 +38,54 @@ def normalize_scores(pool: CandidatePool) -> CandidatePool:
         return pool.with_scores(np.ones(len(pool)))
     if math.isinf(hi - lo):  # the halved scores keep their order, in a finite range
         return normalize_scores(pool.with_scores(pool.scores / 2))
-    return pool.with_scores((pool.scores - lo) / (hi - lo))
+    scores = pool.scores - lo
+    scores /= hi - lo
+    return pool.with_scores(scores)
 
 
 _FOREIGN_IDS = "ranking contains ids not present in the pool"
 
 
-def _ranked_rows(pool: CandidatePool, ids: np.ndarray):
-    """(pool row of each id in the given order, mask of those pool rows).
+def _block_rows(n: int, mask_of) -> np.ndarray:
+    """The rows, ascending, of an n-row mask that ``mask_of(start, stop)``
+    gives a block at a time."""
+    pieces = [np.flatnonzero(mask_of(start, stop)) + start for start, stop in _blocks(n)]
+    return np.concatenate([np.empty(0, dtype=np.intp), *pieces])
 
-    One membership pass over the pool finds the rows; only those k ids are
-    sorted to put them in order.  Every id must exist in the pool.
+
+def _member_test(pool_ids: np.ndarray, ids: np.ndarray):
+    """A function from a block of pool ids to the mask of those in ``ids``.
+
+    Integer ids whose range np.isin would tabulate for the whole pool get
+    that one bool table, built once: np.isin on a block would weigh the
+    range against the block's size and sort instead.  Other ids go through
+    np.isin a block at a time.
     """
-    in_ranking = np.isin(pool.ids, ids)
-    hits = np.flatnonzero(in_ranking)
+    if pool_ids.dtype.kind == ids.dtype.kind == "i" and ids.shape[0]:
+        lo = int(ids.min())
+        span = int(ids.max()) - lo
+        if span <= 6 * (pool_ids.shape[0] + ids.shape[0]):  # np.isin's own rule
+            table = np.zeros(span + 2, dtype=bool)  # the last slot is every id out of range
+            table[ids - lo] = True
+
+            def member(block):
+                # an id out of range wraps to an offset above span as uint64
+                offset = np.subtract(block, lo, dtype=np.int64).view(np.uint64)
+                return table[np.minimum(offset, span + 1, out=offset)]
+
+            return member
+    return lambda block: np.isin(block, ids)
+
+
+def _ranked_rows(pool: CandidatePool, ids: np.ndarray):
+    """(pool row of each id in the given order, the same rows ascending).
+
+    One membership pass over the pool, a block at a time, finds the rows;
+    only those k ids are sorted to put them in order.  Every id must exist
+    in the pool.
+    """
+    member = _member_test(pool.ids, ids)
+    hits = _block_rows(len(pool), lambda start, stop: member(pool.ids[start:stop]))
     if hits.shape[0] != ids.shape[0]:
         raise ValueError(_FOREIGN_IDS)
     by_id = hits[np.argsort(pool.ids[hits])]
@@ -59,7 +93,7 @@ def _ranked_rows(pool: CandidatePool, ids: np.ndarray):
     rows = by_id[np.minimum(pos, hits.shape[0] - 1)]
     if not np.array_equal(pool.ids[rows], ids):
         raise ValueError(_FOREIGN_IDS)
-    return rows, in_ranking
+    return rows, hits
 
 
 def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -> float:
@@ -83,9 +117,9 @@ def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -
     return min(0.0, least_above - score)
 
 
-def _selection(ranking, pool, in_ranking):
+def _selection(ranking, pool, hits):
     """(worst utility, its witness) over the pool candidates outside the
-    ranking, given the mask of the pool rows that are in it.
+    ranking, given the pool rows that are in it, ascending.
 
     Only excluded candidates scoring above the least ranked score have a
     negative utility, so only those rows are gathered; every other excluded
@@ -93,7 +127,14 @@ def _selection(ranking, pool, in_ranking):
     worst utility, and ``(0.0, None)`` means nobody better was left out.
     """
     least = float(ranking.scores.min())
-    rows = np.flatnonzero((pool.scores > least) & ~in_ranking)
+
+    def excluded_above(start, stop):
+        above = pool.scores[start:stop] > least
+        first, end = np.searchsorted(hits, (start, stop))
+        above[hits[first:end] - start] = False
+        return above
+
+    rows = _block_rows(len(pool), excluded_above)
     if not rows.shape[0]:
         return 0.0, None
     utilities = np.minimum(0.0, least - pool.scores[rows])
@@ -103,8 +144,8 @@ def _selection(ranking, pool, in_ranking):
 
 def selection_utility(ranking: RankedSequence, pool: CandidatePool) -> float:
     """Worst utility over excluded candidates; 0 when nobody better was left out."""
-    _, in_ranking = _ranked_rows(pool, ranking.ids)
-    return _selection(ranking, pool, in_ranking)[0]
+    _, hits = _ranked_rows(pool, ranking.ids)
+    return _selection(ranking, pool, hits)[0]
 
 
 class OrderingResult(NamedTuple):
@@ -138,9 +179,10 @@ def _ordering(ranking, pool, rows) -> OrderingResult:
     score = pool.scores[rows[worst]]
     # the witness's 0-based color-blind position: the pool rows ahead of it
     # by (score desc, id asc)
-    ahead = int(np.count_nonzero(
-        (pool.scores > score) | ((pool.scores == score) & (pool.ids < witness))
-    ))
+    ahead = 0
+    for start, stop in _blocks(len(pool)):
+        scores, ids = pool.scores[start:stop], pool.ids[start:stop]
+        ahead += int(np.count_nonzero((scores > score) | ((scores == score) & (ids < witness))))
     return OrderingResult(value, max(0, worst - ahead), witness.item())
 
 
@@ -182,18 +224,20 @@ class UtilityReport:
 def evaluate_ranking(pool: CandidatePool, ranking: RankedSequence) -> UtilityReport:
     """Assemble the full metric report, min-max normalizing over the pool.
 
-    Cost: O(n + k log k) for a pool of n and a ranking of k.  One np.isin
-    pass locates the ranked rows (numpy sorts instead when the ids are
+    Cost: O(n + k log k) for a pool of n and a ranking of k.  The pool is
+    read a block at a time, so beyond the normalized scores the scratch
+    memory is O(k) plus a table over the ranked ids' range.  One membership
+    pass locates the ranked rows (np.isin sorts instead when the ids are
     strings or integers too sparse to tabulate); only the k ranked ids are
     sorted.  Selection utility gathers only the excluded rows that outscore
     the least ranked candidate, and the ids are checked once, not again by
     the ordering metric.
     """
     normalized = normalize_scores(pool)
-    rows, in_ranking = _ranked_rows(normalized, ranking.ids)
+    rows, hits = _ranked_rows(normalized, ranking.ids)
     normalized_ranking = ranking.with_scores(normalized.scores[rows])
     ordering = _ordering(normalized_ranking, normalized, rows)
-    sel_value, sel_witness = _selection(normalized_ranking, normalized, in_ranking)
+    sel_value, sel_witness = _selection(normalized_ranking, normalized, hits)
     return UtilityReport(
         protected_share=float(normalized_ranking.protected.mean()),
         ndcg=ndcg(normalized_ranking, normalized),

@@ -55,6 +55,26 @@ def dump(stream, payload) -> None:
     stream.write("\n")
 
 
+# json runs its pure-Python encoder whenever indent is set.  With these
+# separators its C encoder gives an array of flat records with each record's
+# fields already on the lines indent=2 puts them on.
+_C_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+
+
+def _dump_records(stream, records: list) -> None:
+    """``dump`` of a list of flat, non-empty records, byte for byte.
+
+    json escapes a line end inside a string, so a raw one comes only from a
+    separator; no value is itself an object, so a closing brace, a separator
+    and an opening brace in a row mark exactly the record boundaries.
+    """
+    if not records:
+        stream.write("[]\n")
+        return
+    body = _C_ENCODE(records)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    stream.write("[\n  {\n    " + body + "\n  }\n]\n")
+
+
 def write(stream, fields, rows, as_json: bool) -> None:
     """Print ``rows`` as CSV under a header of the field names, or as JSON.
 
@@ -68,7 +88,10 @@ def write(stream, fields, rows, as_json: bool) -> None:
     cells = zip(*[map(render, column) for render, column in zip(renders, columns)])
     if as_json:
         records = [dict(zip(names, row)) for row in cells]
-        dump(stream, records[0] if single else records)
+        if single:
+            dump(stream, records[0])
+        else:
+            _dump_records(stream, records)
         return
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(names)

@@ -1,8 +1,8 @@
 """Top-k ranking: the color-blind reference and the fairness-constrained ranker.
 
 The constrained ranker computes the greedy rule in closed form.  Each group
-contributes a best-first stream of its k best candidates (bounded selection,
-not a full sort).  The greedy rule walks positions 1..k, places a protected
+contributes a best-first stream of its k best candidates (a bounded selection
+over the pool read a block at a time, not a full sort).  The greedy rule walks positions 1..k, places a protected
 candidate wherever the minimum-count table requires one more, and otherwise
 takes the better stream head, the protected head winning exact score ties.
 So the j-th protected candidate lands at the first position where either the
@@ -53,6 +53,21 @@ class FairRanking:
     satisfied_up_to: int
 
 
+# Rows per block when a call walks a pool.  Blocks of 2**14 rows keep each
+# call's scratch memory a few bytes per pool row; blocks of 2**17 rows took
+# more than one full-pool pass did (measured at 2*10**5 rows).
+_BLOCK_ROWS = 1 << 14
+# A streamed selection cuts the rows it holds back to k once it holds more
+# than this many times k.
+_HOLD = 4
+
+
+def _blocks(n: int) -> list:
+    """(start, stop) of each block of _BLOCK_ROWS rows of an n-row column."""
+    step = _BLOCK_ROWS
+    return [(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def _top_indices(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k best rows by (score desc, id asc), best first.
 
@@ -74,11 +89,37 @@ def _top_indices(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.lexsort((ids[chosen], -scores[chosen]))]
 
 
+def _best_rows(pool: CandidatePool, k: int, group=None) -> np.ndarray:
+    """Pool rows of the k best candidates by (score desc, id asc), best first,
+    among those whose protected flag is ``group`` (all of them when None).
+
+    The pool is read a block at a time.  A row is held only if it scores at
+    least the bar, the k-th best score seen so far, so ties on the bar stay.
+    Once more than _HOLD * k rows are held they are cut to the best k, whose
+    k-th score becomes the bar.  A row below the bar trails k held rows and
+    cannot be among the k best, so the final cut selects exactly them.
+    """
+    held, count, bar = [], 0, -np.inf
+    for start, stop in _blocks(len(pool)):
+        keep = pool.scores[start:stop] >= bar
+        if group is not None:
+            flags = pool.protected[start:stop]
+            keep &= flags if group else ~flags
+        held.append(np.flatnonzero(keep) + start)
+        count += held[-1].shape[0]
+        if count > _HOLD * k:
+            rows = np.concatenate(held)
+            rows = rows[_top_indices(pool.scores[rows], pool.ids[rows], k)]
+            held, count, bar = [rows], k, pool.scores[rows[-1]]
+    rows = np.concatenate(held)
+    return rows[_top_indices(pool.scores[rows], pool.ids[rows], k)]
+
+
 def color_blind_topk(pool: CandidatePool, k: int) -> RankedSequence:
     """Top-k by score alone, ignoring group membership; ties by ascending id."""
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must lie in 1..{len(pool)}")
-    return pool.take(_top_indices(pool.scores, pool.ids, k))
+    return pool.take(_best_rows(pool, k))
 
 
 def fair_topk(
@@ -113,12 +154,8 @@ def fair_topk(
     if not 1 <= k <= len(pool):
         raise ValueError(f"k must lie in 1..{len(pool)}")
     mtable = compute_mtable(k, p, alpha_adj)
-    protected_rows = np.flatnonzero(pool.protected)
-    open_rows = np.flatnonzero(~pool.protected)
-    stream1 = protected_rows[
-        _top_indices(pool.scores[protected_rows], pool.ids[protected_rows], k)
-    ]
-    stream0 = open_rows[_top_indices(pool.scores[open_rows], pool.ids[open_rows], k)]
+    stream1 = _best_rows(pool, k, True)
+    stream0 = _best_rows(pool, k, False)
 
     supply = stream1.shape[0]
     required = np.pad(mtable.inverse, (0, supply + 1), constant_values=k + 1)

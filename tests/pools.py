@@ -4,9 +4,12 @@ Scores take 1 to 5 distinct values, so ties decide most orders.  Ids come in
 four kinds: a dense 1..n, a range that crosses zero, sparse integers up to
 10^11 (too sparse for numpy to tabulate in np.isin), and strings whose order
 is not the numeric one.  Rows are in random order.
+
+A property run per id kind under the ``blocks`` fixture uses
+``ACROSS_BLOCKS``: the fixture's patch holds for every example of a run.
 """
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, settings, strategies as st
 
 from fair_topk.candidates import CandidatePool
 
@@ -23,10 +26,17 @@ def draw_ids(rng, kind, n):
     return np.array([f"c{i}" for i in rng.choice(10 * n, size=n, replace=False)])
 
 
+ACROSS_BLOCKS = settings(
+    max_examples=75, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
 @st.composite
-def tied_pools(draw, max_size=40, both_groups=False):
-    """(pool, rng) with the rng seeded from the draw, for follow-up choices."""
-    kind = draw(st.sampled_from(ID_KINDS))
+def tied_pools(draw, max_size=40, both_groups=False, kind=None):
+    """(pool, rng) with the rng seeded from the draw, for follow-up choices.
+    Ids are of the given kind, or of a drawn one."""
+    if kind is None:
+        kind = draw(st.sampled_from(ID_KINDS))
     n = draw(st.integers(2 if both_groups else 1, max_size))
     levels = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

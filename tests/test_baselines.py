@@ -7,7 +7,7 @@ from fair_topk.adjustment import adjust_significance
 from fair_topk.baselines import feldman_repair, yang_stoyanovich_generate
 from fair_topk.candidates import CandidatePool
 from fair_topk.fairness import verify_ranked_group_fairness
-from pools import tied_pools
+from pools import ACROSS_BLOCKS, ID_KINDS, tied_pools
 
 
 def two_group_pool(protected_scores, open_scores):
@@ -119,6 +119,15 @@ def test_repair_matches_the_lexsort_order_on_tied_pools(drawn):
     repaired = feldman_repair(pool).pool
     assert repaired.scores.tobytes() == parent_repaired_scores(pool).tobytes()
     assert repaired.ids is pool.ids and repaired.protected is pool.protected
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@ACROSS_BLOCKS
+@given(data=st.data())
+def test_repair_matches_the_lexsort_order_across_blocks(blocks, kind, data):
+    pool, _ = data.draw(tied_pools(both_groups=True, kind=kind), label="pool")
+    repaired = feldman_repair(pool).pool
+    assert repaired.scores.tobytes() == parent_repaired_scores(pool).tobytes()
 
 
 def test_repair_makes_no_stable_sort(monkeypatch):

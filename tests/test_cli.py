@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fair_topk import cli, experiment
+from fair_topk import cli, experiment, output
 from fair_topk.candidates import CandidatePool
 from fair_topk.experiment import save_candidates
 from fair_topk.fairness import compute_mtable
@@ -501,15 +501,58 @@ def test_experiment_refuses_what_rank_refuses(capsys, tmp_path, cached):
         assert len((cache / "adjustments.csv").read_text().splitlines()) == 2
 
 
+# fewer than 1000 rows in a file long enough to hold 1000 (over 2000 bytes)
+SMALLER_THAN_K = "id,score,protected\n" + "".join(f"{i},0.{i:04d},{i % 2}\n" for i in range(300))
+
+
 @pytest.mark.parametrize("pool", ["missing", "smaller-than-k"])
 def test_experiment_refuses_before_it_reads_the_pool(capsys, tmp_path, monkeypatch, pool):
     if pool != "missing":
-        (tmp_path / "pool.csv").write_text(POOL)
+        (tmp_path / "pool.csv").write_text(SMALLER_THAN_K)
     config = tmp_path / "exp.yaml"
     config.write_text("name: demo\npath: pool.csv\nk: 1000\np_grid: [0.5]\nalpha: 1.0e-11\n")
     refusal = run(capsys, "rank", "--k", "1000", "--p", "0.5", "--alpha", "1e-11")[2]
     monkeypatch.setattr(experiment, "load_candidates", _unread)
     assert run(capsys, "experiment", str(config)) == (1, "", refusal)
+
+
+def _uncalibrated(*args):
+    raise AssertionError("calibrated")
+
+
+# a header and 3 rows in 43 bytes: no file of at most 2k bytes holds k rows
+P3 = "id,score,protected\n1,0.9,0\n2,0.5,1\n3,0.1,0\n"
+
+
+def test_rank_on_a_file_too_short_for_k_exits_three_before_calibrating(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "p3.csv"
+    path.write_text(P3)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "adjust_significance", _uncalibrated)
+        code, out, err = run(capsys, "rank", str(path), "--k", "100000", "--p", "0.5")
+        assert (code, out, err) == (3, "", f"error: {path}: k=100000 exceeds pool size 3\n")
+        # ahead of a refused alpha, which exits 1 on a file long enough for k
+        code, out, err = run(capsys, "rank", str(path), "--k", "60", "--p", "0.5",
+                             "--alpha", "1e-11")
+        assert (code, out, err) == (3, "", f"error: {path}: k=60 exceeds pool size 3\n")
+    path.write_text(P3 + "\n" * 80)  # 123 bytes: the same rows, long enough for 60
+    code, out, err = run(capsys, "rank", str(path), "--k", "60", "--p", "0.5", "--alpha", "1e-11")
+    assert code == 1
+    assert err.startswith("error: no feasible alpha_adj for k=60 p=0.500000 ")
+
+
+def test_experiment_on_a_file_too_short_for_k_exits_three_before_calibrating(
+    capsys, tmp_path, monkeypatch
+):
+    (tmp_path / "pool.csv").write_text(P3)
+    config = tmp_path / "exp.yaml"
+    config.write_text("name: demo\npath: pool.csv\nk: 100000\np_grid: [0.3, 0.5]\n")
+    monkeypatch.setattr(experiment, "cached_adjustment", _uncalibrated)
+    code, out, err = run(capsys, "experiment", str(config))
+    assert (code, out) == (3, "")
+    assert err == f"error: {tmp_path / 'pool.csv'}: k=100000 exceeds pool size 3\n"
 
 
 def test_experiment_on_a_pool_whose_score_range_overflows(capsys, recwarn, tmp_path):
@@ -781,17 +824,22 @@ def test_stdout_uses_plain_newlines(capsys):
 # CSV and JSON agree
 
 STRING_POOL = "id,score,protected\nb,0.7,0\na,0.7,1\nc,0.9,0\nd,0.1,1\ne,0.33333333333,0\n"
+TEXT_POOL = "id,score,protected\nnaïve,0.7,0\n\u65e5\u672c,0.7,1\n\"a \"\"b\"\"\",0.9,0\nd\\e,0.1,1\n"
+TEXT_XING = (
+    "query,id,gender,work_months,edu_months,views\n"
+    "économiste,Zoë,female,10,20,3\neconomist,\u00e5,male,5,5,10\n"
+)
 INPUTS = {
     "fair": ANALYST,
     "unfair": ECONOMIST,
     "pool": POOL,
     "strings": STRING_POOL,
+    "text": TEXT_POOL,
     "xing": XING,
+    "text_xing": TEXT_XING,
     "config": "name: demo\npath: pool.csv\nk: 4\np_grid: [0.3, 0.5]\n",
 }
-
-
-@pytest.mark.parametrize("argv", [
+CSV_AND_JSON = [
     ("adjust", "--k", "1500", "--p", "0.1", "--alpha", "0.1"),
     ("verify", "{fair}", "--p", "0.4"),
     ("verify", "{unfair}", "--p", "0.4"),
@@ -802,13 +850,21 @@ INPUTS = {
     ("simulate", "--k", "1500", "--p", "0.1", "--alpha-adj", "0.0121547", "--trials", "20"),
     ("experiment", "{config}"),
     ("prep-xing", "{xing}", "--query", "economist"),
-])
-def test_csv_and_json_print_the_same_values(capsys, tmp_path, argv):
+]
+
+
+def input_argv(tmp_path, argv):
+    """argv with each {name} replaced by the path of INPUTS[name], written."""
     paths = {}
     for name, text in INPUTS.items():
         paths[name] = tmp_path / ("exp.yaml" if name == "config" else f"{name}.csv")
-        paths[name].write_text(text)
-    argv = [arg.format(**paths) for arg in argv]
+        paths[name].write_text(text, encoding="utf-8")
+    return [arg.format(**paths) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", CSV_AND_JSON)
+def test_csv_and_json_print_the_same_values(capsys, tmp_path, argv):
+    argv = input_argv(tmp_path, argv)
     _, out, _ = run(capsys, *argv)
     _, doc, _ = run(capsys, *argv, "--json")
     header, *rows = csv.reader(io.StringIO(out))
@@ -831,3 +887,26 @@ def test_csv_and_json_print_the_same_values(capsys, tmp_path, argv):
                 assert cell == f"{value:.6f}"
             else:
                 assert cell == str(value)
+
+
+@pytest.mark.parametrize("argv", CSV_AND_JSON + [
+    ("mtable", "--k", "12", "--p", "0.5", "--alpha", "0.1"),
+    ("rank", "{text}", "--k", "4", "--p", "0.5"),
+    ("rank", "{text}", "--k", "3", "--method", "feldman"),
+    ("prep-xing", "{text_xing}", "--query", "économiste"),
+])
+def test_json_is_the_indented_document(capsys, tmp_path, argv):
+    code, doc, _ = run(capsys, *input_argv(tmp_path, argv), "--json")
+    assert code == 0
+    assert doc == json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(1, "naïve \\ \"}\",\n    {\"", 0.5, True, 2), (2, "}", 0.25, False, 1)],
+], ids=["empty", "braces-and-line-ends-in-ids"])
+def test_json_arrays_are_the_indented_document(rows):
+    stream = io.StringIO()
+    output.write(stream, cli.RANK, rows, True)
+    records = [output.record(cli.RANK, row) for row in rows]
+    assert stream.getvalue() == json.dumps(records, indent=2, sort_keys=True) + "\n"

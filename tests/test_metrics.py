@@ -19,7 +19,7 @@ from fair_topk.metrics import (
     selection_utility,
 )
 from fair_topk.ranker import color_blind_topk, fair_topk
-from pools import tied_pools
+from pools import ACROSS_BLOCKS, ID_KINDS, tied_pools
 
 
 def random_pool(rng, n, n_protected=None):
@@ -357,7 +357,10 @@ def report_bits(report):
     share=st.floats(0.05, 1.0),
 )
 def test_report_matches_the_full_argsort_lookup(drawn, source, share):
-    pool, rng = drawn
+    assert_report_matches_the_full_argsort_lookup(*drawn, source, share)
+
+
+def assert_report_matches_the_full_argsort_lookup(pool, rng, source, share):
     k = max(1, round(share * len(pool)))
     if source == "arbitrary":
         ranking = pool.take(rng.choice(len(pool), size=k, replace=False))
@@ -372,6 +375,35 @@ def test_report_matches_the_full_argsort_lookup(drawn, source, share):
     assert report_bits(evaluate_ranking(pool, ranking)) == report_bits(
         parent_evaluate_ranking(pool, ranking)
     )
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@ACROSS_BLOCKS
+@given(
+    data=st.data(),
+    source=st.sampled_from(["arbitrary", "color-blind", "fair", "repaired"]),
+    share=st.floats(0.05, 1.0),
+)
+def test_report_matches_the_full_argsort_lookup_across_blocks(blocks, kind, data, source, share):
+    pool, rng = data.draw(tied_pools(kind=kind), label="pool")
+    assert_report_matches_the_full_argsort_lookup(pool, rng, source, share)
+
+
+def test_report_edges_across_blocks(blocks):
+    # foreign ids inside and outside the tabulated range, and of another kind
+    pool = CandidatePool([0, 1, 2, 3, 4], [0.9, 0.8, 0.7, 0.6, 0.5], [0, 1, 0, 1, 0])
+    for ids in ([0, 7], [-1, 0], [0, 10**11], ["a", "b"]):
+        foreign = RankedSequence(ids, [0.9, 0.5], [0, 0])
+        with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
+            evaluate_ranking(pool, foreign)
+    strings = CandidatePool(["e", "d", "c", "b", "a"], pool.scores, pool.protected)
+    with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
+        evaluate_ranking(strings, RankedSequence(["e", "z"], [0.9, 0.5], [0, 0]))
+    # a score range that overflows is halved first
+    pool = CandidatePool([1, 2, 3, 4], [1e308, 5e307, 0.0, -1e308], [0, 1, 0, 1])
+    report = evaluate_ranking(pool, RankedSequence([1, 4], [1e308, -1e308], [0, 1]))
+    assert report.selection_utility_loss == pytest.approx(0.75)
+    assert report.worst_selection_candidate == 2
 
 
 def test_report_sorts_nothing_longer_than_the_ranking(monkeypatch):
@@ -409,9 +441,14 @@ def test_repair_and_report_stay_within_their_memory_budgets():
         finally:
             tracemalloc.stop()
 
+    # each budget is the peak measured with numpy 2.4 plus 1 byte a row; the
+    # streamed selections hold O(k) rows and one block of the pool
+    assert peak_bytes_per_row(lambda: fair_topk(pool, 1500, 0.5, 0.1)) <= 3.2
+    assert peak_bytes_per_row(lambda: color_blind_topk(pool, 1500)) <= 4.4
     # the repaired scores alone hold 8 bytes a row
-    assert peak_bytes_per_row(lambda: feldman_repair(pool)) <= 26.0
-    assert peak_bytes_per_row(lambda: evaluate_ranking(pool, ranking)) <= 30.0
+    assert peak_bytes_per_row(lambda: feldman_repair(pool)) <= 17.4
+    # the normalized scores alone hold 8 bytes a row
+    assert peak_bytes_per_row(lambda: evaluate_ranking(pool, ranking)) <= 12.7
 
 
 # ---------------------------------------------------------------------------

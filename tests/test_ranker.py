@@ -11,7 +11,7 @@ from fair_topk.fairness import compute_mtable, verify_ranked_group_fairness
 from fair_topk.ranker import InfeasibleRankingError, color_blind_topk, fair_topk
 
 from oracles import best_feasible, evaluate_ranking_raw, greedy_fair_topk
-from pools import tied_pools
+from pools import ACROSS_BLOCKS, ID_KINDS, tied_pools
 
 
 def make_pool(rng, n, n_protected):
@@ -267,6 +267,52 @@ def test_matches_greedy_walk_at_the_edges(protected, k):
     # scores tie in runs of three, so most orders are decided by the tie rules
     pool = CandidatePool(np.arange(12, 0, -1), np.repeat([4.0, 3.0, 2.0, 1.0], 3), protected)
     for p in (0.3, 0.5, 0.9):
+        assert_matches_greedy_walk(pool, k, p, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the pool read in blocks of 1, 2 or 3 rows
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@ACROSS_BLOCKS
+@given(
+    data=st.data(),
+    p=st.sampled_from([0.2, 0.5, 0.7, 0.9]),
+    alpha=st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_matches_greedy_walk_across_blocks(blocks, kind, data, p, alpha):
+    pool, _ = data.draw(tied_pools(kind=kind), label="pool")
+    n = len(pool)
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="k")
+    assert_matches_greedy_walk(pool, k, p, alpha)
+    best = np.lexsort((pool.ids, -pool.scores))[:k]
+    assert np.array_equal(color_blind_topk(pool, k).ids, pool.ids[best])
+
+
+def test_whole_pool_and_short_groups_across_blocks(blocks):
+    # k = n, and groups with fewer than k rows: one protected row, or none
+    rng = np.random.default_rng(3)
+    pool = make_pool(rng, 25, 10)
+    assert np.array_equal(
+        color_blind_topk(pool, 25).ids, pool.ids[np.lexsort((pool.ids, -pool.scores))]
+    )
+    for n_protected in (0, 1, 10, 25):
+        pool = make_pool(rng, 25, n_protected)
+        for k in (6, 25):
+            assert_matches_greedy_walk(pool, k, 0.7, 0.1)
+    ranking = fair_topk(exhausted_pool(), 6, 0.7, 0.1)
+    assert ranking.satisfied_up_to == 3
+
+
+def test_ties_on_the_bar_survive_each_cut(blocks):
+    # most rows tie on the top score and ids fall as the rows go on, so every
+    # cut to the best k leaves ties on the bar that later rows displace
+    n, k = 60, 2
+    pool = CandidatePool(
+        np.arange(n, 0, -1), np.tile([1.0, 2.0, 2.0], n // 3), np.arange(n) % 2 == 0
+    )
+    assert color_blind_topk(pool, k).ids.tolist() == [1, 2]
+    for p in (0.5, 0.9):
         assert_matches_greedy_walk(pool, k, p, 0.1)
 
 
