@@ -2,17 +2,18 @@
 
 The constrained ranker computes the greedy rule in closed form.  Each group
 contributes a best-first stream of its k best candidates (a bounded selection
-over the pool read a block at a time, not a full sort).  The greedy rule walks positions 1..k, places a protected
-candidate wherever the minimum-count table requires one more, and otherwise
-takes the better stream head, the protected head winning exact score ties.
-So the j-th protected candidate lands at the first position where either the
-table requires j protected, or every non-protected candidate scoring strictly
-higher has been placed; every other position takes the next non-protected
-candidate.
+over the pool read a block at a time, not a full sort).  The greedy rule
+walks positions 1..k, places a protected candidate wherever the minimum-count
+table requires one more, and otherwise takes the better stream head, the
+protected head winning exact score ties.  So the j-th protected candidate
+lands at the first position where either the table requires j protected, or
+every non-protected candidate scoring strictly higher has been placed; every
+other position takes the next non-protected candidate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def _top_indices(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.lexsort((ids[chosen], -scores[chosen]))]
 
 
-def _best_rows(pool: CandidatePool, k: int, group=None) -> np.ndarray:
+def _best_rows(pool: CandidatePool, k: int, group: Optional[bool] = None) -> np.ndarray:
     """Pool rows of the k best candidates by (score desc, id asc), best first,
     among those whose protected flag is ``group`` (all of them when None).
 

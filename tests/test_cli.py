@@ -824,7 +824,11 @@ def test_stdout_uses_plain_newlines(capsys):
 # CSV and JSON agree
 
 STRING_POOL = "id,score,protected\nb,0.7,0\na,0.7,1\nc,0.9,0\nd,0.1,1\ne,0.33333333333,0\n"
-TEXT_POOL = "id,score,protected\nnaïve,0.7,0\n\u65e5\u672c,0.7,1\n\"a \"\"b\"\"\",0.9,0\nd\\e,0.1,1\n"
+# non-ASCII, quoted and backslashed ids
+TEXT_POOL = (
+    "id,score,protected\nnaïve,0.7,0\n\u65e5\u672c,0.7,1\n"
+    "\"a \"\"b\"\"\",0.9,0\nd\\e,0.1,1\n"
+)
 TEXT_XING = (
     "query,id,gender,work_months,edu_months,views\n"
     "économiste,Zoë,female,10,20,3\neconomist,\u00e5,male,5,5,10\n"
