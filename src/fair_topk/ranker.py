@@ -69,24 +69,31 @@ def _blocks(n: int) -> list:
     return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _top_indices(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best rows by (score desc, id asc), best first.
+def _best_set(scores: np.ndarray, ids: np.ndarray, k: int) -> tuple:
+    """(indices of the k best rows by (score desc, id asc), in no order, the
+    k-th best score), for k below the number of rows.
 
-    Bounded selection: an argpartition pass isolates the top block, ties on
-    the block's boundary score are resolved by ascending id, and only the
-    k survivors are fully sorted.
+    An argpartition pass isolates the top block, and ties on the block's
+    boundary score are resolved by ascending id.
     """
     n = scores.shape[0]
-    if k >= n:
-        order = np.lexsort((ids, -scores))
-        return order
     boundary = np.partition(scores, n - k)[n - k]  # k-th largest score
     sure = np.flatnonzero(scores > boundary)
     need = k - sure.shape[0]
     tied = np.flatnonzero(scores == boundary)
     if need < tied.shape[0]:
         tied = tied[np.argpartition(ids[tied], need - 1)[:need]]
-    chosen = np.concatenate([sure, tied])
+    return np.concatenate([sure, tied]), boundary
+
+
+def _top_indices(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k best rows by (score desc, id asc), best first.
+
+    Bounded selection: only the k rows of _best_set are fully sorted.
+    """
+    if k >= scores.shape[0]:
+        return np.lexsort((ids, -scores))
+    chosen, _ = _best_set(scores, ids, k)
     return chosen[np.lexsort((ids[chosen], -scores[chosen]))]
 
 
@@ -110,8 +117,8 @@ def _best_rows(pool: CandidatePool, k: int, group: Optional[bool] = None) -> np.
         count += held[-1].shape[0]
         if count > _HOLD * k:
             rows = np.concatenate(held)
-            rows = rows[_top_indices(pool.scores[rows], pool.ids[rows], k)]
-            held, count, bar = [rows], k, pool.scores[rows[-1]]
+            chosen, bar = _best_set(pool.scores[rows], pool.ids[rows], k)
+            held, count = [rows[chosen]], k
     rows = np.concatenate(held)
     return rows[_top_indices(pool.scores[rows], pool.ids[rows], k)]
 
