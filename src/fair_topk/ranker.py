@@ -55,8 +55,8 @@ class FairRanking:
 
 
 # Rows per block when a call walks a pool.  Blocks of 2**14 rows keep each
-# call's scratch memory a few bytes per pool row; blocks of 2**17 rows took
-# more than one full-pool pass did (measured at 2*10**5 rows).
+# call's scratch memory a few bytes per pool row; blocks of 2**17 rows needed
+# more than the full-pool passes they replace (measured at 2*10**5 rows).
 _BLOCK_ROWS = 1 << 14
 # A streamed selection cuts the rows it holds back to k once it holds more
 # than this many times k.
@@ -73,8 +73,8 @@ def _best_set(scores: np.ndarray, ids: np.ndarray, k: int) -> tuple:
     """(indices of the k best rows by (score desc, id asc), in no order, the
     k-th best score), for k below the number of rows.
 
-    An argpartition pass isolates the top block, and ties on the block's
-    boundary score are resolved by ascending id.
+    A partition finds the k-th best score, and ties on it are resolved by
+    ascending id.
     """
     n = scores.shape[0]
     boundary = np.partition(scores, n - k)[n - k]  # k-th largest score
