@@ -42,6 +42,8 @@ class MTable:
 
     def __post_init__(self):
         minima = np.asarray(self.minima, dtype=np.int64).view()  # the caller's stays writable
+        if not np.array_equal(minima, self.minima):
+            raise ValueError("minima must be integers")
         object.__setattr__(self, "minima", minima)
         if minima.shape != (self.k,):
             raise ValueError("minima must have exactly k entries")

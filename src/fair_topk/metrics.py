@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .candidates import CandidatePool, RankedSequence
-from .ranker import _blocks, color_blind_topk
+from .ranker import _best_rows, _blocks, color_blind_topk
 
 __all__ = [
     "UtilityReport",
@@ -54,38 +54,39 @@ def _block_rows(n: int, mask_of) -> np.ndarray:
 
 
 def _member_test(pool_ids: np.ndarray, ids: np.ndarray):
-    """A function from a block of pool ids to the mask of those in ``ids``.
+    """A function from a block's (start, stop) to the mask of its ids in ``ids``.
 
     Integer ids whose range np.isin would tabulate for the whole pool get
     that one bool table, built once: np.isin on a block would weigh the
     range against the block's size and sort instead.  Other ids go through
     np.isin a block at a time.
     """
-    if pool_ids.dtype.kind == ids.dtype.kind == "i" and ids.shape[0]:
+    if pool_ids.dtype.kind == ids.dtype.kind == "i":
         lo = int(ids.min())
         span = int(ids.max()) - lo
         if span <= 6 * (pool_ids.shape[0] + ids.shape[0]):  # np.isin's own rule
             table = np.zeros(span + 2, dtype=bool)  # the last slot is every id out of range
             table[ids - lo] = True
 
-            def member(block):
+            def member(start, stop):
                 # an id out of range wraps to an offset above span as uint64
-                offset = np.subtract(block, lo, dtype=np.int64).view(np.uint64)
+                offset = np.subtract(pool_ids[start:stop], lo, dtype=np.int64).view(np.uint64)
                 return table[np.minimum(offset, span + 1, out=offset)]
 
             return member
-    return lambda block: np.isin(block, ids)
+    return lambda start, stop: np.isin(pool_ids[start:stop], ids)
 
 
-def _ranked_rows(pool: CandidatePool, ids: np.ndarray):
-    """(pool row of each id in the given order, the same rows ascending).
+def _ranked_rows(pool: CandidatePool, ids: np.ndarray) -> tuple:
+    """(pool row of each id in the given order, the pool's best k rows, best first).
 
-    One membership pass over the pool, a block at a time, finds the rows;
-    only those k ids are sorted to put them in order.  Every id must exist
-    in the pool.
+    One membership pass over the pool finds the rows, and only those k ids
+    are sorted to put them in order; then one streamed selection finds the
+    best rows.  There must be at least one id, and each must be in the pool.
     """
-    member = _member_test(pool.ids, ids)
-    hits = _block_rows(len(pool), lambda start, stop: member(pool.ids[start:stop]))
+    if not ids.shape[0]:
+        raise ValueError("ranking must be non-empty")
+    hits = _block_rows(len(pool), _member_test(pool.ids, ids))  # frees its table for _best_rows
     if hits.shape[0] != ids.shape[0]:
         raise ValueError(_FOREIGN_IDS)
     by_id = hits[np.argsort(pool.ids[hits])]
@@ -93,7 +94,7 @@ def _ranked_rows(pool: CandidatePool, ids: np.ndarray):
     rows = by_id[np.minimum(pos, hits.shape[0] - 1)]
     if not np.array_equal(pool.ids[rows], ids):
         raise ValueError(_FOREIGN_IDS)
-    return rows, hits
+    return rows, _best_rows(pool, ids.shape[0])
 
 
 def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -> float:
@@ -117,35 +118,32 @@ def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -
     return min(0.0, least_above - score)
 
 
-def _selection(ranking, pool, hits):
+def _selection(ranking, pool, rows, best):
     """(worst utility, its witness) over the pool candidates outside the
-    ranking, given the pool rows that are in it, ascending.
-
-    Only excluded candidates scoring above the least ranked score have a
-    negative utility, so only those rows are gathered; every other excluded
-    candidate has utility 0.  The witness is the smallest id attaining the
-    worst utility, and ``(0.0, None)`` means nobody better was left out.
-    """
+    ranking, given the pool row of each ranked id and the pool's best k rows,
+    from the best rows left out.  A row past them scores at most the k-th
+    best score and loses an exact tie to a best row on id; only if one can
+    still attain the worst utility (by rounding, or with ranking scores that
+    are not the pool's) are all excluded rows above the least ranked read."""
     least = float(ranking.scores.min())
-
-    def excluded_above(start, stop):
-        above = pool.scores[start:stop] > least
-        first, end = np.searchsorted(hits, (start, stop))
-        above[hits[first:end] - start] = False
-        return above
-
-    rows = _block_rows(len(pool), excluded_above)
-    if not rows.shape[0]:
-        return 0.0, None
-    utilities = np.minimum(0.0, least - pool.scores[rows])
-    value = float(utilities.min())
-    return value, min(pool.ids[rows[utilities == value]].tolist())
+    ranked = set(rows.tolist())
+    left_out = [row for row in best.tolist() if row not in ranked]
+    utilities = np.minimum(0.0, least - pool.scores[left_out])
+    top = pool.scores[left_out[0]] if left_out else np.inf
+    reach = min(pool.scores[best[-1]], np.nextafter(top, -np.inf))  # a later row's best chance
+    if least < reach and least - reach <= utilities.min(initial=0.0):
+        above = _block_rows(len(pool), lambda start, stop: pool.scores[start:stop] > least)
+        left_out = [row for row in above.tolist() if row not in ranked]
+        utilities = np.minimum(0.0, least - pool.scores[left_out])
+    value = float(utilities.min(initial=0.0))
+    if value == 0.0:
+        return 0.0, None  # nobody better was left out
+    return value, min(pool.ids[left_out][utilities == value].tolist())
 
 
 def selection_utility(ranking: RankedSequence, pool: CandidatePool) -> float:
     """Worst utility over excluded candidates; 0 when nobody better was left out."""
-    _, hits = _ranked_rows(pool, ranking.ids)
-    return _selection(ranking, pool, hits)[0]
+    return _selection(ranking, pool, *_ranked_rows(pool, ranking.ids))[0]
 
 
 class OrderingResult(NamedTuple):
@@ -162,12 +160,13 @@ def ordering_utility(ranking: RankedSequence, pool: CandidatePool) -> OrderingRe
     ranking of the pool (never negative).  Zero loss reports zero drop.
     Every ranked id must exist in the pool.
     """
-    rows, _ = _ranked_rows(pool, ranking.ids)
-    return _ordering(ranking, pool, rows)
+    return _ordering(ranking, *_ranked_rows(pool, ranking.ids))
 
 
-def _ordering(ranking, pool, rows) -> OrderingResult:
-    """ordering_utility, given the pool row of each ranked id."""
+def _ordering(ranking, rows, best) -> OrderingResult:
+    """ordering_utility, given the pool row of each ranked id and the pool's
+    best k rows: the witness's 0-based color-blind position is its index
+    among them, and past them it is at least k, beyond its ranking position."""
     prefix_min = np.minimum.accumulate(ranking.scores)
     utilities = np.zeros(len(ranking))
     utilities[1:] = np.minimum(0.0, prefix_min[:-1] - ranking.scores[1:])
@@ -175,15 +174,9 @@ def _ordering(ranking, pool, rows) -> OrderingResult:
     value = float(utilities[worst])
     if value == 0.0:
         return OrderingResult(0.0, 0, None)
-    witness = ranking.ids[worst]
-    score = pool.scores[rows[worst]]
-    # the witness's 0-based color-blind position: the pool rows ahead of it
-    # by (score desc, id asc)
-    ahead = 0
-    for start, stop in _blocks(len(pool)):
-        scores, ids = pool.scores[start:stop], pool.ids[start:stop]
-        ahead += int(np.count_nonzero((scores > score) | ((scores == score) & (ids < witness))))
-    return OrderingResult(value, max(0, worst - ahead), witness.item())
+    ahead = np.flatnonzero(best == rows[worst])
+    drop = max(0, worst - int(ahead[0])) if ahead.shape[0] else 0
+    return OrderingResult(value, drop, ranking.ids[worst].item())
 
 
 def ndcg(ranking: RankedSequence, pool: CandidatePool, k: Optional[int] = None) -> float:
@@ -191,13 +184,20 @@ def ndcg(ranking: RankedSequence, pool: CandidatePool, k: Optional[int] = None) 
 
     Position i carries weight 1/log2(i+1); the denominator is the same
     weighted sum over the color-blind top-k, so the ideal ranking scores 1.0.
+    Every score summed must be non-negative.
     """
-    if k is None:
-        k = len(ranking)
-    weights = 1.0 / np.log2(np.arange(1, k + 1) + 1.0)
-    m = min(k, len(ranking))
-    attained = float(np.dot(weights[:m], ranking.scores[:m]))
-    ideal_scores = color_blind_topk(pool, k).scores
+    if k is None and not len(ranking):
+        raise ValueError("ranking must be non-empty")
+    k = len(ranking) if k is None else k
+    return _ndcg(ranking.scores[:k], color_blind_topk(pool, k).scores)
+
+
+def _ndcg(scores: np.ndarray, ideal_scores: np.ndarray) -> float:
+    """ndcg of the given scores against the ideal's, k of them."""
+    if (scores < 0).any() or (ideal_scores < 0).any():
+        raise ValueError("ndcg needs non-negative scores")
+    weights = 1.0 / np.log2(np.arange(1, ideal_scores.shape[0] + 1) + 1.0)
+    attained = float(np.dot(weights[: scores.shape[0]], scores))
     ideal = float(np.dot(weights, ideal_scores))
     if ideal == 0.0:
         return 1.0  # all-zero scores: every ranking is ideal
@@ -224,23 +224,20 @@ class UtilityReport:
 def evaluate_ranking(pool: CandidatePool, ranking: RankedSequence) -> UtilityReport:
     """Assemble the full metric report, min-max normalizing over the pool.
 
-    Cost: O(n + k log k) for a pool of n and a ranking of k.  The pool is
-    read a block at a time, so beyond the normalized scores the scratch
-    memory is O(k) plus a table over the ranked ids' range.  One membership
-    pass locates the ranked rows (np.isin sorts instead when the ids are
-    strings or integers too sparse to tabulate); only the k ranked ids are
-    sorted.  Selection utility gathers only the excluded rows that outscore
-    the least ranked candidate, and the ids are checked once, not again by
-    the ordering metric.
+    Cost: O(n + k log k) for a pool of n and a ranking of k: normalization,
+    then one membership walk and one top-k selection a block at a time, so
+    beyond the normalized scores the scratch memory is O(k) plus a table
+    over the ranked ids' range.  That color-blind top k is NDCG's ideal,
+    holds the best candidate left out, and places the ordering witness.
     """
     normalized = normalize_scores(pool)
-    rows, hits = _ranked_rows(normalized, ranking.ids)
+    rows, best = _ranked_rows(normalized, ranking.ids)
     normalized_ranking = ranking.with_scores(normalized.scores[rows])
-    ordering = _ordering(normalized_ranking, normalized, rows)
-    sel_value, sel_witness = _selection(normalized_ranking, normalized, hits)
+    ordering = _ordering(normalized_ranking, rows, best)
+    sel_value, sel_witness = _selection(normalized_ranking, normalized, rows, best)
     return UtilityReport(
         protected_share=float(normalized_ranking.protected.mean()),
-        ndcg=ndcg(normalized_ranking, normalized),
+        ndcg=_ndcg(normalized_ranking.scores, normalized.scores[best]),
         ordering_utility_loss=-ordering.utility + 0.0,  # +0.0 avoids -0.0
         selection_utility_loss=-sel_value + 0.0,
         max_rank_drop=ordering.max_rank_drop,

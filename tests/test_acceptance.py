@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from anchors import ADJUSTED_ALPHA_GRID, MTABLE_GRID_ALPHA01
-from oracles import best_feasible, enumerated_rejection_probability, evaluate_ranking_raw
+from exact import best_feasible, enumerated_rejection_probability, evaluate_ranking_raw
 from fair_topk import (
     CandidatePool,
     adjust_significance,

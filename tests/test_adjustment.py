@@ -12,7 +12,7 @@ from fair_topk.adjustment import FEASIBILITY_TOL, InfeasibleAdjustmentError
 from fair_topk.baselines import yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
 from fair_topk.candidates import RankedSequence
-from oracles import (
+from exact import (
     exact_rejection_probability,
     per_trial_simulation,
     stepwise_rejection_probability,

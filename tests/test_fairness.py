@@ -51,6 +51,12 @@ def test_mtable_rejects_malformed_minima():
         MTable(2, 0.9, 0.5, np.array([1, 3]))  # exceeds prefix length
 
 
+def test_mtable_rejects_fractional_minima():
+    with pytest.raises(ValueError, match="minima must be integers"):
+        MTable(2, 0.5, 0.1, np.array([0.5, 1.0]))
+    assert MTable(2, 0.5, 0.1, np.array([0.0, 1.0])).minima.tolist() == [0, 1]
+
+
 def test_blocks_reference_case():
     table = compute_mtable(12, 0.5, 0.1)
     assert list(table.inverse) == [4, 7, 9, 12]

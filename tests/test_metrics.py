@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fair_topk import metrics, ranker
 from fair_topk.baselines import feldman_repair
 from fair_topk.candidates import CandidatePool, RankedSequence
 from fair_topk.metrics import (
@@ -220,6 +221,17 @@ def test_ndcg_defaults_k_to_ranking_length():
     assert ndcg(ranking, pool) == ndcg(ranking, pool, k=2)
 
 
+def test_ndcg_refuses_negative_scores():
+    # summed as gains, negative scores would put the ranking above its ideal
+    pool = CandidatePool([1, 2], [-1.0, -2.0], [0, 1])
+    with pytest.raises(ValueError, match="ndcg needs non-negative scores"):
+        ndcg(RankedSequence([2, 1], [-2.0, -1.0], [1, 0]), pool)
+    # the ranking's own scores are non-negative, the ideal's third is not
+    pool = CandidatePool([1, 2, 3], [1.0, 0.5, -1.0], [0, 1, 0])
+    with pytest.raises(ValueError, match="ndcg needs non-negative scores"):
+        ndcg(RankedSequence([1, 2], [1.0, 0.5], [0, 1]), pool, k=3)
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -299,6 +311,57 @@ def test_report_rejects_foreign_ids(measure):
             measure(foreign, pool)
 
 
+@pytest.mark.parametrize("measure", [
+    pytest.param(lambda ranking, pool: evaluate_ranking(pool, ranking), id="evaluate_ranking"),
+    pytest.param(ordering_utility, id="ordering_utility"),
+    pytest.param(selection_utility, id="selection_utility"),
+    pytest.param(ndcg, id="ndcg"),
+])
+def test_empty_rankings_are_refused(measure):
+    pool = CandidatePool([1, 2], [0.9, 0.5], [0, 1])
+    with pytest.raises(ValueError, match="ranking must be non-empty"):
+        measure(RankedSequence([], [], []), pool)
+
+
+@pytest.mark.parametrize("ranked", [[1, 2, 5], [1, 2, 7, 8, 5]], ids=["past-top-k", "in-top-k"])
+def test_report_selection_witness_under_a_rounding_tie(ranked):
+    # with 3u/2 the least ranked score, 0.5 + 3u and 0.5 + 4u round to one
+    # utility: the witness is id 3, which scores lower than the best
+    # candidate left out (id 4) but has the smaller id.  With three ranked
+    # the tie reaches past the top k; with five, both tied rows are in it.
+    u = 2.0**-53
+    scores = [1.0, 0.75, 0.5 + 3 * u, 0.5 + 4 * u, 1.5 * u, 0.0, 0.25, 0.4]
+    pool = CandidatePool(range(1, 9), scores, [0, 1, 0, 1, 0, 1, 0, 1])
+    assert 1.5 * u - scores[2] == 1.5 * u - scores[3]
+    ranking = pool.take(np.array(ranked) - 1)
+    report = evaluate_ranking(pool, ranking)
+    assert report.worst_selection_candidate == 3
+    assert report_bits(report) == report_bits(parent_evaluate_ranking(pool, ranking))
+
+
+def test_report_walks_the_pool_twice(monkeypatch):
+    # one membership walk and one top-k selection, whatever the losses
+    walks = []
+
+    def spy(n, _original=ranker._blocks):
+        walks.append(n)
+        return _original(n)
+
+    monkeypatch.setattr(ranker, "_blocks", spy)
+    monkeypatch.setattr(metrics, "_blocks", spy)
+    rng = np.random.default_rng(3)
+    n, k = 10**5, 300
+    pool = CandidatePool(rng.permutation(n) + 1, rng.random(n), rng.random(n) < 0.4)
+    for ranking in (
+        pool.take(rng.choice(n, size=k, replace=False)),  # ordering and selection losses
+        fair_topk(pool, k, 0.6, 0.1).entries,
+        color_blind_topk(pool, k),  # no loss
+    ):
+        walks.clear()
+        evaluate_ranking(pool, ranking)
+        assert walks == [n, n]
+
+
 @pytest.mark.parametrize("pool_ids, ids", [([1, 2, 3], ["a", "b"]), (["a", "b"], [1])])
 def test_report_rejects_ids_of_another_kind(pool_ids, ids):
     pool = CandidatePool(pool_ids, np.linspace(0.9, 0.5, len(pool_ids)), [0] * len(pool_ids))
@@ -308,8 +371,9 @@ def test_report_rejects_ids_of_another_kind(pool_ids, ids):
 
 
 def parent_evaluate_ranking(pool, ranking):
-    """evaluate_ranking as it was before the membership pass: ranked rows
-    found through a full stable argsort of the pool ids."""
+    """evaluate_ranking from whole-pool sorts: the ranked rows found through
+    a stable argsort of the pool ids, and the color-blind order, for the
+    ordering witness's rank drop and NDCG's ideal, through a full lexsort."""
     lo, hi = float(pool.scores.min()), float(pool.scores.max())
     scores = np.ones(len(pool)) if hi == lo else (pool.scores - lo) / (hi - lo)
     normalized = CandidatePool(pool.ids, scores, pool.protected)
@@ -318,9 +382,22 @@ def parent_evaluate_ranking(pool, ranking):
     rows = order[np.minimum(pos, len(pool) - 1)]
     assert np.array_equal(normalized.ids[rows], ranking.ids)
     normalized_ranking = RankedSequence(ranking.ids, normalized.scores[rows], ranking.protected)
-    ordering = ordering_utility(normalized_ranking, normalized)
+    ranked_scores = normalized_ranking.scores
+    color_blind = np.lexsort((normalized.ids, -normalized.scores))
+    prefix_min = np.minimum.accumulate(ranked_scores)
+    ordering = np.zeros(len(ranking))
+    ordering[1:] = np.minimum(0.0, prefix_min[:-1] - ranked_scores[1:])
+    worst = int(np.argmin(ordering))
+    if ordering[worst] == 0.0:
+        drop, ord_witness = 0, None
+    else:
+        position = int(np.flatnonzero(color_blind == rows[worst])[0])
+        drop, ord_witness = max(0, worst - position), ranking.ids[worst].item()
+    weights = 1.0 / np.log2(np.arange(1, len(ranking) + 1) + 1.0)
+    ideal = float(np.dot(weights, normalized.scores[color_blind[: len(ranking)]]))
+    ndcg_value = 1.0 if ideal == 0.0 else float(np.dot(weights, ranked_scores)) / ideal
     excluded = np.flatnonzero(~np.isin(normalized.ids, ranking.ids))
-    least = float(normalized_ranking.scores.min())
+    least = float(ranked_scores.min())
     utilities = np.minimum(0.0, least - normalized.scores[excluded])
     if utilities.shape[0]:
         sel_value = float(utilities.min())
@@ -333,11 +410,11 @@ def parent_evaluate_ranking(pool, ranking):
         sel_value, sel_witness = 0.0, None
     return UtilityReport(
         protected_share=float(normalized_ranking.protected.mean()),
-        ndcg=ndcg(normalized_ranking, normalized),
-        ordering_utility_loss=-ordering.utility + 0.0,
+        ndcg=ndcg_value,
+        ordering_utility_loss=-float(ordering[worst]) + 0.0,
         selection_utility_loss=-sel_value + 0.0,
-        max_rank_drop=ordering.max_rank_drop,
-        worst_ordering_candidate=ordering.worst_candidate,
+        max_rank_drop=drop,
+        worst_ordering_candidate=ord_witness,
         worst_selection_candidate=sel_witness,
     )
 

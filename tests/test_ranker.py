@@ -10,7 +10,7 @@ from fair_topk.candidates import CandidatePool
 from fair_topk.fairness import compute_mtable, verify_ranked_group_fairness
 from fair_topk.ranker import InfeasibleRankingError, color_blind_topk, fair_topk
 
-from oracles import best_feasible, evaluate_ranking_raw, greedy_fair_topk
+from exact import best_feasible, evaluate_ranking_raw, greedy_fair_topk
 from pools import ACROSS_BLOCKS, ID_KINDS, tied_pools
 
 
