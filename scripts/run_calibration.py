@@ -8,9 +8,11 @@ probability), and analytic-vs-simulated rejection curves.
 import argparse
 import sys
 
-from fair_topk import adjust_significance, emit_curve_data, minimum_counts, rejection_probability
+from fair_topk import adjust_significance, emit_curve_data
+from fair_topk.adjustment import _table_rejection
+from fair_topk.binomial import _Tables
+from fair_topk.fairness import MTable
 from fair_topk.output import _alpha_text
-from fair_topk.binomial import table_plateau
 
 
 def grid(ks, ps, alpha):
@@ -32,12 +34,12 @@ def grid(ks, ps, alpha):
 def scan(k, p, alpha_lo, alpha_hi):
     """List each table built by some alpha_adj in [alpha_lo, alpha_hi] once:
     its plateau [lower, upper) and its rejection probability.  The next table
-    starts where the plateau ends."""
+    starts where the plateau ends, and is derived from this one."""
     print(f"tables for alpha_adj in [{alpha_lo}, {alpha_hi}], k={k} p={p}")
-    alpha = alpha_lo
+    tables, alpha = _Tables(k, p), alpha_lo
     while alpha <= alpha_hi:
-        lower, upper = table_plateau(minimum_counts(k, p, alpha), p)
-        r = rejection_probability(k, p, alpha)
+        minima, (lower, upper) = tables.at(alpha)
+        r = _table_rejection(MTable(k, p, alpha, minima))
         print(f"  alpha_adj in [{lower!r}, {upper!r})  rejection={r:.6f}")
         alpha = upper
 

@@ -19,8 +19,10 @@ import numpy as np
 
 __all__ = ["pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts"]
 
-# Carried recurrences (_Walk) shed accumulated rounding by recomputing from
-# the mode-seeded vector every this many trials.
+# Carried recurrences shed accumulated rounding by starting afresh after at
+# most this many one-step identities: _Walk recomputes from the mode-seeded
+# vector every this many trials, and _Tables walks afresh before any count
+# moves more often than this since its table was walked.
 _REFRESH_EVERY = 256
 # Comparisons against alpha closer than this are re-decided with the
 # compensated-summation cdf so recurrence drift cannot flip them.
@@ -141,16 +143,18 @@ class _Walk:
 
 
 def _check_args(k: int, p: float, alpha: float, name: str = "alpha") -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_prob(p)
     _check_prob(alpha, name)
 
 
-def _table_walk(k: int, p: float, alpha: float):
-    """(minimum_counts(k, p, alpha), its plateau) from one walk of the trial count,
-    bumping the count while the carried cdf is <= alpha; comparisons within
-    ``_BOUNDARY_EPS`` of alpha are re-decided exactly."""
+def _walked(k: int, p: float, alpha: float):
+    """(minimum_counts(k, p, alpha), F(m(i); i, p), Pr(X = m(i); i, p)) from one
+    walk of the trial count, bumping the count while the carried cdf is <= alpha;
+    comparisons within ``_BOUNDARY_EPS`` of alpha are re-decided exactly."""
     walk = _Walk(p)
     out = np.empty(k, dtype=np.int64)
     cdfs, pmfs = np.empty(k), np.empty(k)
@@ -162,7 +166,92 @@ def _table_walk(k: int, p: float, alpha: float):
             walk.exact_near(alpha)
         out[i], cdfs[i], pmfs[i] = walk.c, walk.cdf, walk.pmf
     out.setflags(write=False)
+    return out, cdfs, pmfs
+
+
+def _table_walk(k: int, p: float, alpha: float):
+    """(minimum_counts(k, p, alpha), its plateau) from one walk of the trial count."""
+    out, cdfs, pmfs = _walked(k, p, alpha)
     return out, _plateau(out, p, cdfs, pmfs)
+
+
+def _exactly_near(values: np.ndarray, counts: np.ndarray, trials: np.ndarray,
+                  p: float, alpha: float, where: np.ndarray) -> np.ndarray:
+    """values, where values[j] is a carried F(counts[j]; trials[j], p), with each
+    entry selected by ``where`` that lies within ``_BOUNDARY_EPS`` of alpha
+    replaced, in place, by the exact cdf."""
+    near = where & (np.abs(values - alpha) < _BOUNDARY_EPS)
+    for j in np.flatnonzero(near).tolist():
+        values[j] = cdf(int(counts[j]), int(trials[j]), p)
+    return values
+
+
+class _Tables:
+    """minimum_counts(k, p, alpha) and its plateau for a sequence of alphas.
+
+    The first table is walked (O(k) Python steps).  Each later one is derived
+    from the previous table's minima and carried F(m(i); i, p) and
+    Pr(X = m(i); i, p): every count moves toward the new alpha with _Walk's
+    one-step identities at fixed trial count, vectorized over positions, so a
+    derivation costs a few numpy operations per step of the count that moves
+    farthest.  Comparisons within ``_BOUNDARY_EPS`` of alpha are re-decided
+    with ``cdf``, as in the walk, so each table equals ``minimum_counts``.
+
+    Each step adds a few roundings (2^-53 relative) to the carried pmf and
+    one to the carried cdf, so s steps move the carried cdf by at most about
+    2 s^2 2^-53 from the walked one.  The table is walked afresh instead of
+    letting any count step more than ``_REFRESH_EVERY`` = 256 times since
+    its last walk, which keeps that below 1.5e-11, far inside
+    ``_BOUNDARY_EPS``; the plateau's candidates, read within
+    ``_BOUNDARY_EPS`` of each end, therefore hold its exact ends.
+    """
+
+    def __init__(self, k: int, p: float):
+        self.k, self.p, self.odds = k, p, p / (1.0 - p)
+        self.trials = np.arange(1, k + 1)
+        self.alpha = None
+
+    def at(self, alpha: float):
+        """(minimum_counts(self.k, self.p, alpha), its plateau)."""
+        if self.alpha is None or not self._derive(alpha):
+            self.minima, self.cdfs, self.pmfs = _walked(self.k, self.p, alpha)
+            self.steps = 0
+        self.alpha = alpha
+        return self.minima, _plateau(self.minima, self.p, self.cdfs, self.pmfs)
+
+    def _derive(self, alpha: float) -> bool:
+        """Move the table to alpha, or False if a count would step too often."""
+        m, F, f = self.minima, self.cdfs.copy(), self.pmfs
+        i, p, odds = self.trials, self.p, self.odds
+        budget = _REFRESH_EVERY - self.steps  # the farthest any count may still move
+        if alpha >= self.alpha:  # counts only rise: bump while F(m; i) <= alpha
+            moving = np.ones(self.k, dtype=bool)
+            for steps in range(budget + 1):
+                moving &= _exactly_near(F, m, i, p, alpha, moving) <= alpha
+                if not moving.any():
+                    break
+                f = np.where(moving, f * ((i - m) / (m + 1) * odds), f)
+                m = m + moving
+                F = np.where(moving, F + f, F)
+            else:
+                return False
+        else:  # counts only fall: drop while F(m-1; i) > alpha
+            moving = m > 0
+            for steps in range(budget + 1):
+                below = _exactly_near(F - f, m - 1, i, p, alpha, moving)
+                moving &= below > alpha
+                if not moving.any():
+                    break
+                f = np.where(moving, f * (m / (i - m + 1) / odds), f)
+                m = m - moving
+                F = np.where(moving, below, F)
+                moving &= m > 0
+            else:
+                return False
+        self.steps += steps
+        m.setflags(write=False)
+        self.minima, self.cdfs, self.pmfs = m, F, f
+        return True
 
 
 def minimum_counts(k: int, p: float, alpha: float) -> np.ndarray:
@@ -170,7 +259,7 @@ def minimum_counts(k: int, p: float, alpha: float) -> np.ndarray:
     F(x; i, p) strictly greater than alpha, from one O(k) walk whose decisions
     within ``_BOUNDARY_EPS`` of alpha are re-decided with ``cdf``."""
     _check_args(k, p, alpha)
-    return _table_walk(k, p, alpha)[0]
+    return _walked(k, p, alpha)[0]
 
 
 def _carried_along(counts, p: float):

@@ -64,9 +64,10 @@ class MTable:
         return int(self.minima[position - 1])
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def compute_mtable(k: int, p: float, alpha_adj: float) -> MTable:
-    """Table of per-prefix minimum protected counts, cached on the exact arguments."""
+    """Table of per-prefix minimum protected counts, cached on the exact arguments
+    and their types, so 10.0 is refused even after 10 has been cached."""
     _check_args(k, p, alpha_adj, name="alpha_adj")
     return MTable(k, p, alpha_adj, minimum_counts(k, p, alpha_adj))
 

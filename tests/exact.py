@@ -25,7 +25,7 @@ import numpy as np
 
 from fair_topk.adjustment import SimulationResult
 from fair_topk.baselines import yang_stoyanovich_generate
-from fair_topk.binomial import minimum_counts
+from fair_topk.binomial import minimum_counts, pmf_vector
 from fair_topk.fairness import verify_ranked_group_fairness
 
 
@@ -196,6 +196,19 @@ def stepwise_rejection_probability(minima, p):
             required = req
         S = stepped
     return max(0.0, 1.0 - math.fsum(S))
+
+
+def convolved_rejection_probability(minima, p):
+    """Rejection probability of a table by the block recursion convolving the
+    whole survival vector, with no cut: the bit-level reference for
+    ``adjustment._table_rejection``, whose floats must equal these."""
+    inverse = np.flatnonzero(np.diff(np.asarray(minima), prepend=0)) + 1
+    S, dropped = np.ones(1), []
+    for block in np.diff(inverse, prepend=0).tolist():
+        full = np.convolve(S, pmf_vector(block, p))
+        dropped.append(full[0])
+        S = full[1:]
+    return math.fsum(dropped)
 
 
 def exact_rejection_probability(minima, p):

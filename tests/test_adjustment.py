@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fair_topk import adjust_significance, rejection_probability, simulate_rejection_rate
-from fair_topk.adjustment import FEASIBILITY_TOL, InfeasibleAdjustmentError
+from fair_topk.adjustment import FEASIBILITY_TOL, InfeasibleAdjustmentError, _table_rejection
 from fair_topk.baselines import yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
 from fair_topk.candidates import RankedSequence
+from fair_topk.fairness import MTable
 from exact import (
+    convolved_rejection_probability,
     exact_rejection_probability,
     per_trial_simulation,
     stepwise_rejection_probability,
@@ -60,6 +62,28 @@ def test_rejection_matches_the_per_position_recursion(k, p):
         minima = minimum_counts(k, p, alpha_adj)
         expected = stepwise_rejection_probability(minima, p)
         assert rejection_probability(k, p, alpha_adj) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def random_tables(rng, count):
+    """Tables of every shape MTable admits: k from 1 to 2500, a zero run, then
+    steps at a random rate, so blocks run from 1 to thousands of positions;
+    a quarter of them at p <= 0.05, whose long final blocks test the cut."""
+    for t in range(count):
+        k = int(rng.integers(1, 4)) if t < 30 else int(rng.integers(1, 2501))
+        p = float(rng.uniform(0.005, 0.05)) if t % 4 == 0 else float(rng.uniform(0.01, 0.99))
+        steps = rng.random(k) < 10 ** rng.uniform(-3, 0)
+        steps[: int(rng.integers(0, k + 1))] = False
+        yield MTable(k, p, 0.1, np.cumsum(steps))
+
+
+def test_cut_recursion_is_the_uncut_convolution_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    tables = list(random_tables(rng, 1000))
+    tables += [MTable(k, p, a, minimum_counts(k, p, a)) for k in (1, 2, 3, 40, 1000)
+               for p in (0.01, 0.05, 0.5, 0.95) for a in (1e-6, 0.0096, 0.3)]
+    for table in tables:
+        expected = convolved_rejection_probability(table.minima, table.p)
+        assert _table_rejection(table) == expected, (table.k, table.p)
 
 
 @pytest.mark.parametrize(

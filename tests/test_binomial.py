@@ -1,5 +1,6 @@
 """Binomial primitives against exact rational arithmetic."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fair_topk.adjustment import adjust_significance, rejection_probability
 from fair_topk.binomial import (
     cdf,
     minimum_counts,
@@ -14,6 +16,7 @@ from fair_topk.binomial import (
     pmf,
     pmf_vector,
 )
+from fair_topk.fairness import compute_mtable
 
 # Fraction(float) is the float's exact binary value, so the oracle sees the
 # same parameter the implementation does and 1e-12 is a pure-roundoff budget.
@@ -146,3 +149,17 @@ def test_parameter_validation():
         percent_point(0.0, 3, 0.5)
     with pytest.raises(ValueError):
         minimum_counts(0, 0.5, 0.1)
+    assert len(minimum_counts(np.int64(10), 0.5, 0.1)) == 10  # numpy integers are integers
+
+
+@pytest.mark.parametrize("call", [adjust_significance, minimum_counts, rejection_probability,
+                                  compute_mtable])
+@pytest.mark.parametrize("k", [10.0, 10.5, True])
+@pytest.mark.parametrize("warm", [False, True])
+def test_k_must_be_an_integer_whatever_the_cache_holds(call, k, warm):
+    # the table cache keys 10.0 and 10, or True and 1, alike unless it is typed
+    compute_mtable.cache_clear()
+    if warm:
+        call(int(k), 0.5, 0.1)
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, not {k!r}")):
+        call(k, 0.5, 0.1)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from fair_topk import cli
+from fair_topk import binomial, cli
 from fair_topk.adjustment import (
     SEARCH_FLOOR,
     _shortest_inside,
@@ -56,6 +56,70 @@ def test_plateau_matches_per_position_cdf(k, p, alpha):
     walked, plateau = _table_walk(k, p, alpha)
     assert np.array_equal(walked, minima)
     assert plateau == (lower, upper)
+
+
+# targets low enough that derived tables re-decide counts within _BOUNDARY_EPS
+SMALL_TARGETS = [(100, 0.5, 1e-7), (300, 0.3, 1e-6), (1000, 0.1, 1e-4), (1000, 0.9, 1e-5),
+                 (100, 0.5, 5e-9), (1000, 0.5, 1e-11)]
+# the cells the benchmark calibrates: audit, experiment, rank-csv-1m and library-1m
+BENCHMARK_CELLS = ([(1000, p, 0.1) for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+                   + [(100, p, 0.1) for p in (0.1, 0.15, 0.2, 0.3, 0.4, 0.5)]
+                   + [(1000, p, 0.1) for p in (0.3, 0.4, 0.5, 0.6)] + [(1500, 0.5, 0.1)])
+
+
+def test_every_evaluated_table_is_the_walked_table(monkeypatch):
+    # each evaluation after the first derives its table from the previous one;
+    # its counts and plateau must be those of a fresh walk, checked as they
+    # are made, since a wrong table can stall the search
+    at, evaluations = binomial._Tables.at, []
+
+    def checked(self, alpha):
+        minima, plateau = at(self, alpha)
+        evaluations.append(alpha)
+        cell = (self.k, self.p, alpha)
+        assert np.array_equal(minima, minimum_counts(*cell)), cell
+        assert plateau == table_plateau(minima, self.p), cell
+        return minima, plateau
+
+    monkeypatch.setattr(binomial._Tables, "at", checked)
+    for k, p, alpha in SWEEP + LARGE + SMALL_TARGETS:
+        evaluations.clear()
+        assert adjust_significance(k, p, alpha).search_iterations == len(evaluations)
+
+
+def counted_walks(monkeypatch) -> list:
+    """One entry per binomial._Walk made from now on."""
+    walks = []
+
+    class CountedWalk(binomial._Walk):
+        def __init__(self, p):
+            walks.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(binomial, "_Walk", CountedWalk)
+    return walks
+
+
+def test_one_walk_per_calibration(monkeypatch):
+    walks = counted_walks(monkeypatch)
+    for cell in BENCHMARK_CELLS:
+        compute_mtable.cache_clear()
+        walks.clear()
+        result = adjust_significance(*cell)
+        # the search's first table, then the rebuild check's compute_mtable
+        assert len(walks) <= 2 < result.search_iterations, cell
+
+
+def test_a_count_past_the_step_budget_is_re_walked(monkeypatch):
+    cells = [(1000, 0.5, 0.1), (300, 0.3, 1e-6), (100, 0.9, 0.05)]
+    expected = [adjust_significance(*cell) for cell in cells]
+    walks = counted_walks(monkeypatch)
+    monkeypatch.setattr(binomial, "_REFRESH_EVERY", 4)
+    for cell, result in zip(cells, expected):
+        compute_mtable.cache_clear()
+        walks.clear()
+        assert adjust_significance(*cell) == result, cell
+        assert len(walks) > 2, cell
 
 
 @pytest.mark.parametrize("k,evaluations", [(100, 7), (1000, 13), (1500, 11)])
