@@ -34,33 +34,55 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     non-decreasing in rank, so within-group order is preserved, and repairing
     an already-repaired pool changes nothing.
 
-    Cost: an id sort and one default-kind score sort of the protected group,
-    one sort of the int64 keys run * m + place that puts each run of tied
-    scores back in id order (place is the index in id order, so the keys stay
-    below m**2, which int64 holds for m < 3e9), and an in-place sort of the
-    non-protected scores.  Each intermediate is released once used, and the
+    Cost: one default-kind argsort of the protected scores, then one value
+    sort of int64 keys that orders each run of tied scores by id: a key
+    packs (run, id - least id) above the index in score order, which needs
+    integer ids whose span times the number of runs fits in the bits above
+    that index.  Other ids are coded by their rank from one argsort, and the
+    key is run * m + rank, which fits for m < 3e9.  The non-protected scores
+    are sorted in place.  Each intermediate is released once used, and the
     repaired scores are looked up a block of ranks at a time.  The ids and
     flags are shared with the input pool, not validated again.
     """
-    by_id = np.flatnonzero(pool.protected)
-    m, n = by_id.shape[0], len(pool) - by_id.shape[0]
+    rows = np.flatnonzero(pool.protected)
+    m, n = rows.shape[0], len(pool) - rows.shape[0]
     if m == 0 or n == 0:
         raise ValueError("both groups must be non-empty to repair")
-    by_id = by_id[np.argsort(pool.ids[by_id])]
-    tied = pool.scores[by_id]
+    tied = pool.scores[rows]
     place = np.argsort(tied)
+    rows = rows[place]  # ascending score, ties in any order
     tied = tied[place]
+    del place
     key = np.empty(m, dtype=np.int64)
     key[0] = 0
-    np.cumsum(tied[1:] != tied[:-1], out=key[1:])  # the run of each sorted score
+    np.not_equal(tied[1:], tied[:-1], out=key[1:])
     del tied
-    key *= m
-    key += place
-    del place
-    key.sort()
-    key %= m
-    order = by_id[key]  # protected rows in (score, id) order
-    del by_id, key
+    np.cumsum(key, out=key)  # the run of each sorted score
+    ids = pool.ids[rows]
+    bits = (m - 1).bit_length()  # of a row's index in score order
+    span = int(ids.max()) - int(ids.min()) + 1 if ids.dtype.kind in "iu" else None
+    if span is not None and (int(key[-1]) + 1) * span <= 1 << (63 - bits):
+        key *= span
+        key += np.subtract(ids, ids.min(), dtype=np.int64)  # exact: below span
+        del ids
+        key <<= bits
+        key |= np.arange(m)
+        key.sort()
+        key &= (1 << bits) - 1
+        order = rows[key]  # protected rows in (score, id) order
+    else:
+        by_id = np.argsort(ids)
+        del ids
+        rank = np.empty(m, dtype=np.int64)
+        rank[by_id] = np.arange(m)
+        key *= m
+        key += rank
+        del rank
+        key.sort()
+        key %= m
+        order = rows[by_id[key]]
+        del by_id
+    del rows, key
     # an index gather: numpy's boolean-mask gather takes several times as long
     open_scores = pool.scores[np.flatnonzero(~pool.protected)]
     open_scores.sort()

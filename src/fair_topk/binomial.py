@@ -34,16 +34,26 @@ def _check_prob(value: float, name: str = "p") -> None:
         raise ValueError(f"{name} must lie in the open interval (0, 1)")
 
 
+def _check_int(value, name: str) -> None:
+    """Integers, numpy's included, but not bools."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _check(trials: int, p: float, x=None) -> None:
-    """Bin(trials, p) must be a distribution, and x, when given, in its support."""
+    """Bin(trials, p) must be a distribution, and x, when given, an integer
+    in its support."""
+    _check_int(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be non-negative")
     _check_prob(p)
-    if x is not None and not 0 <= x <= trials:
-        raise ValueError(f"x={x} outside support [0, {trials}]")
+    if x is not None:
+        _check_int(x, "x")
+        if not 0 <= x <= trials:
+            raise ValueError(f"x={x} outside support [0, {trials}]")
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def _pmf_vector(trials: int, p: float) -> np.ndarray:
     """Full probability mass vector of Bin(trials, p), mode-seeded."""
     if trials == 0:
@@ -143,8 +153,7 @@ class _Walk:
 
 
 def _check_args(k: int, p: float, alpha: float, name: str = "alpha") -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, not {k!r}")
+    _check_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_prob(p)

@@ -54,12 +54,12 @@ def _block_rows(n: int, mask_of) -> np.ndarray:
 
 
 def _member_test(pool_ids: np.ndarray, ids: np.ndarray):
-    """A function from a block's (start, stop) to the mask of its ids in ``ids``.
+    """A function from some of the pool's ids to the mask of those in ``ids``.
 
     Integer ids whose range np.isin would tabulate for the whole pool get
-    that one bool table, built once: np.isin on a block would weigh the
-    range against the block's size and sort instead.  Other ids go through
-    np.isin a block at a time.
+    that one bool table, built once: np.isin on a block's ids would weigh
+    the range against their number and sort instead.  Other ids go through
+    np.isin.
     """
     if pool_ids.dtype.kind == ids.dtype.kind == "i":
         lo = int(ids.min())
@@ -68,25 +68,39 @@ def _member_test(pool_ids: np.ndarray, ids: np.ndarray):
             table = np.zeros(span + 2, dtype=bool)  # the last slot is every id out of range
             table[ids - lo] = True
 
-            def member(start, stop):
+            def member(some_ids):
                 # an id out of range wraps to an offset above span as uint64
-                offset = np.subtract(pool_ids[start:stop], lo, dtype=np.int64).view(np.uint64)
+                offset = np.subtract(some_ids, lo, dtype=np.int64).view(np.uint64)
                 return table[np.minimum(offset, span + 1, out=offset)]
 
             return member
-    return lambda start, stop: np.isin(pool_ids[start:stop], ids)
+    return lambda some_ids: np.isin(some_ids, ids)
 
 
-def _ranked_rows(pool: CandidatePool, ids: np.ndarray) -> tuple:
-    """(pool row of each id in the given order, the pool's best k rows, best first).
+def _ranked_rows(pool: CandidatePool, ranking: RankedSequence) -> np.ndarray:
+    """The pool row of each ranked id, in ranking order.
 
-    One membership pass over the pool finds the rows, and only those k ids
-    are sorted to put them in order; then one streamed selection finds the
-    best rows.  There must be at least one id, and each must be in the pool.
+    One membership walk finds the rows, testing in each block only those
+    whose pool score is at least the least ranked score: those hold every
+    ranked id when the ranking carries its pool scores.  If they hold fewer
+    than k ids, as when the scores are not the pool's or an id is foreign,
+    a second walk tests every row.  Only those k ids are sorted to put them
+    in order.  There must be at least one id, and each must be in the pool.
     """
+    ids = ranking.ids
     if not ids.shape[0]:
         raise ValueError("ranking must be non-empty")
-    hits = _block_rows(len(pool), _member_test(pool.ids, ids))  # frees its table for _best_rows
+    member = _member_test(pool.ids, ids)
+    least = ranking.scores.min()
+
+    def near(start, stop):
+        mask = pool.scores[start:stop] >= least
+        mask[mask] = member(pool.ids[start:stop][mask])
+        return mask
+
+    hits = _block_rows(len(pool), near)
+    if hits.shape[0] < ids.shape[0]:
+        hits = _block_rows(len(pool), lambda start, stop: member(pool.ids[start:stop]))
     if hits.shape[0] != ids.shape[0]:
         raise ValueError(_FOREIGN_IDS)
     by_id = hits[np.argsort(pool.ids[hits])]
@@ -94,7 +108,7 @@ def _ranked_rows(pool: CandidatePool, ids: np.ndarray) -> tuple:
     rows = by_id[np.minimum(pos, hits.shape[0] - 1)]
     if not np.array_equal(pool.ids[rows], ids):
         raise ValueError(_FOREIGN_IDS)
-    return rows, _best_rows(pool, ids.shape[0])
+    return rows
 
 
 def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -> float:
@@ -143,7 +157,8 @@ def _selection(ranking, pool, rows, best):
 
 def selection_utility(ranking: RankedSequence, pool: CandidatePool) -> float:
     """Worst utility over excluded candidates; 0 when nobody better was left out."""
-    return _selection(ranking, pool, *_ranked_rows(pool, ranking.ids))[0]
+    rows = _ranked_rows(pool, ranking)
+    return _selection(ranking, pool, rows, _best_rows(pool, len(ranking)))[0]
 
 
 class OrderingResult(NamedTuple):
@@ -160,7 +175,8 @@ def ordering_utility(ranking: RankedSequence, pool: CandidatePool) -> OrderingRe
     ranking of the pool (never negative).  Zero loss reports zero drop.
     Every ranked id must exist in the pool.
     """
-    return _ordering(ranking, *_ranked_rows(pool, ranking.ids))
+    rows = _ranked_rows(pool, ranking)
+    return _ordering(ranking, rows, _best_rows(pool, len(ranking)))
 
 
 def _ordering(ranking, rows, best) -> OrderingResult:
@@ -224,14 +240,17 @@ class UtilityReport:
 def evaluate_ranking(pool: CandidatePool, ranking: RankedSequence) -> UtilityReport:
     """Assemble the full metric report, min-max normalizing over the pool.
 
-    Cost: O(n + k log k) for a pool of n and a ranking of k: normalization,
-    then one membership walk and one top-k selection a block at a time, so
-    beyond the normalized scores the scratch memory is O(k) plus a table
-    over the ranked ids' range.  That color-blind top k is NDCG's ideal,
-    holds the best candidate left out, and places the ordering witness.
+    Cost: O(n + k log k) for a pool of n and a ranking of k: one membership
+    walk (two when the ranking's scores are not the pool's), normalization,
+    then one top-k selection, each walk a block at a time.  So beyond the
+    normalized scores the scratch memory is O(k), and during the membership
+    walk a table over the ranked ids' range.  That color-blind top k is
+    NDCG's ideal, holds the best candidate left out, and places the
+    ordering witness.
     """
+    rows = _ranked_rows(pool, ranking)
     normalized = normalize_scores(pool)
-    rows, best = _ranked_rows(normalized, ranking.ids)
+    best = _best_rows(normalized, len(ranking))
     normalized_ranking = ranking.with_scores(normalized.scores[rows])
     ordering = _ordering(normalized_ranking, rows, best)
     sel_value, sel_witness = _selection(normalized_ranking, normalized, rows, best)

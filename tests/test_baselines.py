@@ -130,6 +130,52 @@ def test_repair_matches_the_lexsort_order_across_blocks(blocks, kind, data):
     assert repaired.scores.tobytes() == parent_repaired_scores(pool).tobytes()
 
 
+def edge_pool(case, seed):
+    """A pool that takes each path of the repair's tie order: ids near
+    +-2**62 overflow the packed key, so they are ranked instead."""
+    rng = np.random.default_rng(seed)
+    sizes = {"m-much-above-n": (300, 3), "n-much-above-m": (3, 300)}
+    n_protected, n_open = sizes.get(case, (25, 25))
+    n = n_protected + n_open
+    levels = [-0.0, 0.0, 0.5] if case == "signed-zeros" else [0.25, 0.5, 0.75]
+    scores = rng.choice(levels, size=n)
+    ids = rng.permutation(n) + 1
+    if case == "int64-extremes":
+        ids = np.where(rng.random(n) < 0.5, -(2**62) - ids, 2**62 + ids)
+    protected = rng.permutation(np.arange(n) < n_protected)
+    return CandidatePool(ids, scores, protected)
+
+
+@pytest.mark.parametrize(
+    "case", ["int64-extremes", "signed-zeros", "m-much-above-n", "n-much-above-m"]
+)
+def test_repair_matches_the_lexsort_order_on_edge_pools(case):
+    for seed in range(30):
+        pool = edge_pool(case, seed)
+        repaired = feldman_repair(pool).pool
+        assert repaired.scores.tobytes() == parent_repaired_scores(pool).tobytes()
+
+
+@pytest.mark.parametrize("case, sorted_kinds", [("dense", ["f"]), ("int64-extremes", ["f", "i"])])
+def test_repair_argsorts_its_ids_only_when_the_packed_key_cannot_hold_them(
+    monkeypatch, case, sorted_kinds
+):
+    # dense ids go into one value sort of int64 keys; ids whose span the key
+    # cannot hold are ranked by a second argsort
+    pool = edge_pool(case, 1)
+    m = pool.protected_count
+    calls = []
+    original = np.argsort
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.asarray(a).dtype.kind, np.shape(a)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    feldman_repair(pool)
+    assert calls == [(kind, (m,)) for kind in sorted_kinds]
+
+
 def test_repair_makes_no_stable_sort(monkeypatch):
     rng = np.random.default_rng(5)
     n = 10**4

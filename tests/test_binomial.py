@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fair_topk import binomial
 from fair_topk.adjustment import adjust_significance, rejection_probability
 from fair_topk.binomial import (
     cdf,
@@ -150,6 +151,31 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         minimum_counts(0, 0.5, 0.1)
     assert len(minimum_counts(np.int64(10), 0.5, 0.1)) == 10  # numpy integers are integers
+
+
+@pytest.mark.parametrize("call, warm_call, message", [
+    (lambda: cdf(3, 10.0, 0.5), lambda: cdf(3, 10, 0.5), "trials must be an integer, not 10.0"),
+    (lambda: pmf(3, 10.0, 0.5), lambda: pmf(3, 10, 0.5), "trials must be an integer, not 10.0"),
+    (lambda: pmf_vector(10.0, 0.5), lambda: pmf_vector(10, 0.5),
+     "trials must be an integer, not 10.0"),
+    (lambda: pmf_vector(True, 0.5), lambda: pmf_vector(1, 0.5),
+     "trials must be an integer, not True"),
+    (lambda: percent_point(0.1, 10.0, 0.5), lambda: percent_point(0.1, 10, 0.5),
+     "trials must be an integer, not 10.0"),
+    (lambda: cdf(2.5, 10, 0.5), lambda: cdf(2, 10, 0.5), "x must be an integer, not 2.5"),
+    (lambda: cdf(True, 10, 0.5), lambda: cdf(1, 10, 0.5), "x must be an integer, not True"),
+    (lambda: pmf(3.0, 10, 0.5), lambda: pmf(3, 10, 0.5), "x must be an integer, not 3.0"),
+], ids=["cdf", "pmf", "pmf_vector", "pmf_vector-bool", "percent_point", "cdf-x", "cdf-x-bool",
+        "pmf-x"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_trials_and_x_must_be_integers_whatever_the_cache_holds(call, warm_call, message, warm):
+    # the pmf cache keys 10.0 and 10, or True and 1, alike unless it is typed
+    binomial._pmf_vector.cache_clear()
+    if warm:
+        warm_call()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+    assert cdf(np.int64(3), np.int64(10), 0.5) == cdf(3, 10, 0.5)  # numpy integers are integers
 
 
 @pytest.mark.parametrize("call", [adjust_significance, minimum_counts, rejection_probability,

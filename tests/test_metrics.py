@@ -340,7 +340,8 @@ def test_report_selection_witness_under_a_rounding_tie(ranked):
 
 
 def test_report_walks_the_pool_twice(monkeypatch):
-    # one membership walk and one top-k selection, whatever the losses
+    # one membership walk and one top-k selection, whatever the losses; a
+    # ranking whose scores are not the pool's walks for membership again
     walks = []
 
     def spy(n, _original=ranker._blocks):
@@ -351,15 +352,45 @@ def test_report_walks_the_pool_twice(monkeypatch):
     monkeypatch.setattr(metrics, "_blocks", spy)
     rng = np.random.default_rng(3)
     n, k = 10**5, 300
-    pool = CandidatePool(rng.permutation(n) + 1, rng.random(n), rng.random(n) < 0.4)
-    for ranking in (
-        pool.take(rng.choice(n, size=k, replace=False)),  # ordering and selection losses
-        fair_topk(pool, k, 0.6, 0.1).entries,
-        color_blind_topk(pool, k),  # no loss
+    protected = rng.random(n) < 0.4
+    scores = rng.random(n)
+    scores[protected] /= 2  # so the repair raises every protected score
+    pool = CandidatePool(rng.permutation(n) + 1, scores, protected)
+    for ranking, expected in (
+        (pool.take(rng.choice(n, size=k, replace=False)), [n, n]),  # both losses
+        (fair_topk(pool, k, 0.6, 0.1).entries, [n, n]),
+        (color_blind_topk(pool, k), [n, n]),  # no loss
+        (color_blind_topk(feldman_repair(pool).pool, k), [n, n, n]),
     ):
         walks.clear()
         evaluate_ranking(pool, ranking)
-        assert walks == [n, n]
+        assert walks == expected
+
+
+@pytest.mark.parametrize("source", ["color-blind", "fair"])
+def test_membership_tests_only_rows_that_can_hold_a_ranked_id(monkeypatch, source):
+    # string ids go through np.isin, which sorts; a ranking that carries its
+    # pool scores needs only the rows scoring at least its least score
+    rng = np.random.default_rng(4)
+    n, k = 2 * 10**4, 200
+    ids = np.array([f"c{i}" for i in rng.permutation(n)])
+    pool = CandidatePool(ids, rng.random(n), rng.random(n) < 0.3)
+    if source == "fair":
+        ranking = fair_topk(pool, k, 0.5, 0.1).entries
+    else:
+        ranking = color_blind_topk(pool, k)
+    seen = []
+    original = np.isin
+
+    def spy(element, *args, **kwargs):
+        seen.append(np.shape(element)[0])
+        return original(element, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isin", spy)
+    report = evaluate_ranking(pool, ranking)
+    monkeypatch.setattr(np, "isin", original)
+    assert sum(seen) <= int((pool.scores >= ranking.scores.min()).sum()) < n // 10
+    assert report_bits(report) == report_bits(parent_evaluate_ranking(pool, ranking))
 
 
 @pytest.mark.parametrize("pool_ids, ids", [([1, 2, 3], ["a", "b"]), (["a", "b"], [1])])
@@ -523,7 +554,7 @@ def test_repair_and_report_stay_within_their_memory_budgets():
     assert peak_bytes_per_row(lambda: fair_topk(pool, 1500, 0.5, 0.1)) <= 3.2
     assert peak_bytes_per_row(lambda: color_blind_topk(pool, 1500)) <= 4.4
     # the repaired scores alone hold 8 bytes a row
-    assert peak_bytes_per_row(lambda: feldman_repair(pool)) <= 17.4
+    assert peak_bytes_per_row(lambda: feldman_repair(pool)) <= 16.0
     # the normalized scores alone hold 8 bytes a row
     assert peak_bytes_per_row(lambda: evaluate_ranking(pool, ranking)) <= 12.7
 
