@@ -15,6 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import ranker
 from .baselines import _draw_flags, _seed_words
 from .binomial import _check_args, _check_prob, _pmf_vector, _Tables
 from .fairness import MTable, compute_mtable
@@ -232,8 +233,11 @@ def simulate_rejection_rate(
     Trial t derives its random stream from (seed, t), so results do not
     depend on scheduling.
 
-    Cost: the table once, then per trial one generator seeding, one draw of k
-    uniforms and one cumulative count; memory O(k).
+    Cost: the table once, then per trial one generator seeding and one draw
+    of k uniforms into a block of at most ``ranker._BLOCK_ROWS`` values (one
+    trial per block once k reaches it); each block of trials is decided by
+    one comparison with p_generator, one cumulative count along its rows,
+    one comparison with the table and one any.  Memory O(max(k, 2^14)).
     """
     _check_args(k, p_generator, alpha_adj, name="alpha_adj")
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
@@ -242,10 +246,15 @@ def simulate_rejection_rate(
         raise ValueError("trials must be >= 1")
     base = _seed_words(seed)
     minima = compute_mtable(k, p_test, alpha_adj).minima
+    rows = max(1, ranker._BLOCK_ROWS // k)  # trials per block
+    uniforms = np.empty((min(rows, trials), k))
     rejections = 0
-    for t in range(trials):
-        if (np.cumsum(_draw_flags(k, p_generator, base + [t])) < minima).any():
-            rejections += 1
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        seeds = (base + [t] for t in range(start, stop))
+        flags = _draw_flags(p_generator, seeds, uniforms[: stop - start])
+        rejected = (np.cumsum(flags, axis=1) < minima).any(axis=1)
+        rejections += int(np.count_nonzero(rejected))
     estimate = rejections / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationResult(estimate, stderr, trials, rejections)

@@ -6,7 +6,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .binomial import _check_prob
+from .binomial import _check_int, _check_prob
 from .candidates import CandidatePool, RankedSequence
 from .ranker import _blocks
 
@@ -38,30 +38,24 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     sort of int64 keys that orders each run of tied scores by id: a key
     packs (run, id - least id) above the index in score order, which needs
     integer ids whose span times the number of runs fits in the bits above
-    that index.  Other ids are coded by their rank from one argsort, and the
-    key is run * m + rank, which fits for m < 3e9.  The non-protected scores
-    are sorted in place.  Each intermediate is released once used, and the
-    repaired scores are looked up a block of ranks at a time.  The ids and
-    flags are shared with the input pool, not validated again.
+    that index.  Other ids are coded by their rank from one argsort, made
+    before the runs are labelled so that the two never share memory, and
+    the key is run * m + rank, which fits for m < 3e9.  The non-protected
+    scores are sorted in place.  Each intermediate is released once used,
+    and the repaired scores are looked up a block of ranks at a time.  The
+    repaired pool shares the input pool's ids and flags, and none of its
+    columns is validated again.
     """
     rows = np.flatnonzero(pool.protected)
     m, n = rows.shape[0], len(pool) - rows.shape[0]
     if m == 0 or n == 0:
         raise ValueError("both groups must be non-empty to repair")
-    tied = pool.scores[rows]
-    place = np.argsort(tied)
-    rows = rows[place]  # ascending score, ties in any order
-    tied = tied[place]
-    del place
-    key = np.empty(m, dtype=np.int64)
-    key[0] = 0
-    np.not_equal(tied[1:], tied[:-1], out=key[1:])
-    del tied
-    np.cumsum(key, out=key)  # the run of each sorted score
+    rows = rows[np.argsort(pool.scores[rows])]  # ascending score, ties in any order
     ids = pool.ids[rows]
     bits = (m - 1).bit_length()  # of a row's index in score order
     span = int(ids.max()) - int(ids.min()) + 1 if ids.dtype.kind in "iu" else None
-    if span is not None and (int(key[-1]) + 1) * span <= 1 << (63 - bits):
+    key = _runs(pool.scores[rows]) if span is not None else None
+    if key is not None and (int(key[-1]) + 1) * span <= 1 << (63 - bits):
         key *= span
         key += np.subtract(ids, ids.min(), dtype=np.int64)  # exact: below span
         del ids
@@ -71,10 +65,12 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
         key &= (1 << bits) - 1
         order = rows[key]  # protected rows in (score, id) order
     else:
+        del key  # the runs are labelled after the id argsort, which needs the room
         by_id = np.argsort(ids)
         del ids
         rank = np.empty(m, dtype=np.int64)
         rank[by_id] = np.arange(m)
+        key = _runs(pool.scores[rows])
         key *= m
         key += rank
         del rank
@@ -98,7 +94,18 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     scores = pool.scores.copy()
     scores[order] = repaired
     del order, repaired
-    return RepairedPool(pool.with_scores(scores))
+    # a gather of the pool's finite scores is finite: nothing to check again
+    return RepairedPool(pool._of(pool.ids, scores, pool.protected))
+
+
+def _runs(ascending: np.ndarray) -> np.ndarray:
+    """The run of each entry of an ascending score array, numbered from 0: equal
+    neighbours share a run, so -0.0 and 0.0 do.  Counted in place in int64,
+    since np.cumsum of a bool array makes an int64 temporary."""
+    key = np.empty(ascending.shape[0], dtype=np.int64)
+    key[0] = 0
+    np.not_equal(ascending[1:], ascending[:-1], out=key[1:])
+    return np.cumsum(key, out=key)
 
 
 def yang_stoyanovich_generate(
@@ -109,11 +116,12 @@ def yang_stoyanovich_generate(
     Draws come from unbounded per-group pools, so only the flags are random;
     ids are positions and scores descend with position.
     """
+    _check_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_prob(p)
     _seed_words(seed)  # only to reject a bad seed with a clear message
-    return RankedSequence.from_flags(_draw_flags(k, p, seed))
+    return RankedSequence.from_flags(_draw_flags(p, [seed], np.empty((1, k)))[0])
 
 
 def _seed_words(seed) -> list:
@@ -128,7 +136,10 @@ def _seed_words(seed) -> list:
     return words
 
 
-def _draw_flags(k: int, p: float, seed) -> np.ndarray:
-    """The generative model: each of k positions is protected with probability
-    p, drawn from ``default_rng(seed)``."""
-    return np.random.default_rng(seed).random(k) < p
+def _draw_flags(p: float, seeds, out: np.ndarray) -> np.ndarray:
+    """The generative model, for one ranking per row of ``out``: row j is
+    filled with the uniforms of ``default_rng(seeds[j])``, and each position
+    whose uniform is below p is protected.  Returns the flags."""
+    for seed, row in zip(seeds, out):
+        np.random.default_rng(seed).random(out=row)
+    return out < p

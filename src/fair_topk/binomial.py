@@ -20,9 +20,10 @@ import numpy as np
 __all__ = ["pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts"]
 
 # Carried recurrences shed accumulated rounding by starting afresh after at
-# most this many one-step identities: _Walk recomputes from the mode-seeded
-# vector every this many trials, and _Tables walks afresh before any count
-# moves more often than this since its table was walked.
+# most this many one-step identities: _Walk (and _carried_along, which keeps
+# its values) recomputes from the mode-seeded vector every this many trials,
+# and _Tables walks afresh before any count moves more often than this since
+# its table was walked.
 _REFRESH_EVERY = 256
 # Comparisons against alpha closer than this are re-decided with the
 # compensated-summation cdf so recurrence drift cannot flip them.
@@ -178,12 +179,6 @@ def _walked(k: int, p: float, alpha: float):
     return out, cdfs, pmfs
 
 
-def _table_walk(k: int, p: float, alpha: float):
-    """(minimum_counts(k, p, alpha), its plateau) from one walk of the trial count."""
-    out, cdfs, pmfs = _walked(k, p, alpha)
-    return out, _plateau(out, p, cdfs, pmfs)
-
-
 def _exactly_near(values: np.ndarray, counts: np.ndarray, trials: np.ndarray,
                   p: float, alpha: float, where: np.ndarray) -> np.ndarray:
     """values, where values[j] is a carried F(counts[j]; trials[j], p), with each
@@ -276,16 +271,48 @@ def _carried_along(counts, p: float):
 
     ``counts[i-1]`` is the count at trial i; it starts at 0 or 1 and grows by
     0 or 1 per trial, like a prefix count of protected flags or a table of
-    minimum counts.  O(k).
+    minimum counts.  These are the values a _Walk carries when each trial is
+    followed by a step of the count wherever the path steps, computed one
+    array pass per segment of ``_REFRESH_EVERY`` trials.  Each segment is
+    seeded as the walk's refresh seeds it: Bin(0, p) for the first, the exact
+    cdf and pmf for the others.  Its pmfs are one np.multiply.accumulate over
+    the interleaved trial and count factors, and its cdfs one
+    np.add.accumulate over the interleaved -p*pmf and +pmf increments.  Both
+    are sequential left folds, so every value equals the walk's bit for bit.
+
+    Cost: O(k) in about twenty numpy calls, plus two accumulations and one
+    exact cdf and pmf per later segment.
     """
-    walk = _Walk(p)
-    cdfs, pmfs = np.empty(len(counts)), np.empty(len(counts))
-    for i, c in enumerate(np.asarray(counts).tolist()):
-        walk.next_trial()
-        if c > walk.c:
-            walk.next_count()
-        cdfs[i], pmfs[i] = walk.cdf, walk.pmf
-    return cdfs, pmfs
+    counts = np.asarray(counts, dtype=np.int64)
+    k, every = counts.shape[0], _REFRESH_EVERY
+    q, odds = 1.0 - p, p / (1.0 - p)
+    steps = np.diff(counts, prepend=0)  # 1 where the count steps at trial i, else 0
+    i = np.arange(1, k + 1)
+    # each segment holds its seed, then each trial's operation and, where the
+    # count steps, the count's; last[i-1] indexes trial i's last operation
+    last = np.cumsum(steps + 1)
+    last += np.arange(k) // every
+    trial = last - steps
+    stepped = steps == 1
+    count = last[stepped]
+    factors = np.empty(last[-1] + 1)
+    factors[trial] = q * i / (i - counts + steps)  # counts - steps: the count before trial i
+    factors[count] = (i[stepped] - counts[stepped] + 1) / counts[stepped] * odds
+    increments = np.empty_like(factors)
+    seeds = [0, *(last[every - 1 : k - 1 : every] + 1).tolist()]
+    factors[0] = increments[0] = 1.0  # Bin(0, p) puts all its mass on 0
+    for at, trials in zip(seeds[1:], range(every, k, every)):
+        c = int(counts[trials - 1])
+        increments[at], factors[at] = cdf(c, trials, p), pmf(c, trials, p)
+    segments = list(zip(seeds, seeds[1:] + [len(factors)]))
+    running = np.empty_like(factors)
+    for a, b in segments:
+        np.multiply.accumulate(factors[a:b], out=running[a:b])
+    increments[trial] = -(p * running[trial - 1])
+    increments[count] = running[count]
+    for a, b in segments:
+        np.add.accumulate(increments[a:b], out=increments[a:b])
+    return increments[last], running[last]
 
 
 def _plateau(minima: np.ndarray, p: float, upper: np.ndarray, pmfs: np.ndarray) -> tuple:

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import IO, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import yaml
 
 from .adjustment import rejection_probability, simulate_rejection_rate
 from .baselines import feldman_repair
@@ -283,6 +282,8 @@ def load_spec(path) -> DatasetSpec:
 
     A relative dataset path is resolved against the config file's directory.
     """
+    import yaml  # here, not at the top: no other command pays for importing it
+
     path = Path(path)
     if not path.exists():
         raise DataLoadError(f"{path}: no such file")

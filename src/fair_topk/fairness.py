@@ -132,7 +132,8 @@ def ranked_group_fairness_measure(ranking: RankedSequence, p: float) -> float:
     Equals min over prefix lengths i of F(count_i; i, p): the test passes at
     every alpha strictly below this value and fails at any alpha at or above
     it.  Larger means the ranking adheres to the required counts more
-    comfortably.  One O(k) walk along the ranking's protected prefix counts.
+    comfortably.  Cost: the cdfs carried along the ranking's protected prefix
+    counts, O(k) in array passes, one per 256 positions; memory O(k).
     """
     k = len(ranking)
     if k == 0:

@@ -31,16 +31,20 @@ __all__ = [
 
 
 def normalize_scores(pool: CandidatePool) -> CandidatePool:
-    """Min-max normalize pool scores to [0, 1]; constant pools map to all 1.0."""
+    """Min-max normalize pool scores to [0, 1]; constant pools map to all 1.0.
+
+    The pool's scores are finite, and so are these, so the new pool is built
+    without checking them again."""
     lo = float(pool.scores.min())
     hi = float(pool.scores.max())
     if hi == lo:
-        return pool.with_scores(np.ones(len(pool)))
-    if math.isinf(hi - lo):  # the halved scores keep their order, in a finite range
-        return normalize_scores(pool.with_scores(pool.scores / 2))
-    scores = pool.scores - lo
-    scores /= hi - lo
-    return pool.with_scores(scores)
+        scores = np.ones(len(pool))
+    elif math.isinf(hi - lo):  # the halved scores keep their order, in a finite range
+        return normalize_scores(pool._of(pool.ids, pool.scores / 2, pool.protected))
+    else:
+        scores = pool.scores - lo
+        scores /= hi - lo
+    return pool._of(pool.ids, scores, pool.protected)
 
 
 _FOREIGN_IDS = "ranking contains ids not present in the pool"

@@ -25,7 +25,7 @@ import numpy as np
 
 from fair_topk.adjustment import SimulationResult
 from fair_topk.baselines import yang_stoyanovich_generate
-from fair_topk.binomial import minimum_counts, pmf_vector
+from fair_topk.binomial import _Walk, minimum_counts, pmf_vector
 from fair_topk.fairness import verify_ranked_group_fairness
 
 
@@ -245,3 +245,17 @@ def per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, seed):
     estimate = rejections / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationResult(estimate, stderr, trials, rejections)
+
+
+def walked_along(counts, p):
+    """(F(c_i; i, p), Pr(X = c_i; i, p)) for i = 1..k along a count path, by
+    one scalar _Walk: a trial step, then a count step wherever the path
+    steps.  The bit-level reference for ``binomial._carried_along``."""
+    walk = _Walk(p)
+    cdfs, pmfs = np.empty(len(counts)), np.empty(len(counts))
+    for i, c in enumerate(np.asarray(counts).tolist()):
+        walk.next_trial()
+        if c > walk.c:
+            walk.next_count()
+        cdfs[i], pmfs[i] = walk.cdf, walk.pmf
+    return cdfs, pmfs

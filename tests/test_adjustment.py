@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fair_topk import adjust_significance, rejection_probability, simulate_rejection_rate
+from fair_topk import (
+    adjust_significance,
+    adjustment,
+    ranker,
+    rejection_probability,
+    simulate_rejection_rate,
+)
 from fair_topk.adjustment import FEASIBILITY_TOL, InfeasibleAdjustmentError, _table_rejection
 from fair_topk.baselines import yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
@@ -246,21 +252,50 @@ def test_simulation_is_deterministic_and_calibrated():
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 60),
+    block_values=st.integers(1, 240),
     p_generator=st.floats(0.05, 0.95),
     p_test=st.floats(0.05, 0.95),
     alpha_adj=st.floats(0.001, 0.5),
-    trials=st.integers(1, 40),
     seed=st.one_of(
         st.integers(0, 2**40), st.lists(st.integers(0, 2**40), min_size=1, max_size=3)
     ),
+    data=st.data(),
 )
 def test_simulation_equals_per_trial_verification(
-    k, p_generator, p_test, alpha_adj, trials, seed
+    k, block_values, p_generator, p_test, alpha_adj, seed, data
 ):
+    # small blocks, so that a few dozen trials cross up to three block boundaries
     assume(p_generator != p_test)
-    assert simulate_rejection_rate(
-        k, p_generator, p_test, alpha_adj, trials, seed
-    ) == per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, seed)
+    per_block = max(1, block_values // k)
+    trials = data.draw(st.integers(1, 3 * per_block + 1), label="trials")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranker, "_BLOCK_ROWS", block_values)
+        simulated = simulate_rejection_rate(k, p_generator, p_test, alpha_adj, trials, seed)
+    assert simulated == per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, seed)
+
+
+@pytest.mark.parametrize("k,trials", [(1000, 33), (5000, 7), (2**14 - 1, 3), (2**14, 3),
+                                      (2**14 + 1, 2), (20000, 4)])
+def test_simulation_equals_per_trial_verification_in_full_blocks(k, trials):
+    # 16 trials a block at k = 1000, 3 at k = 5000, and one from k = 2^14 - 1 up
+    for p_generator, p_test, alpha_adj in [(0.5, 0.5, 0.01), (0.3, 0.35, 0.05)]:
+        assert simulate_rejection_rate(
+            k, p_generator, p_test, alpha_adj, trials, seed=[k, 5]
+        ) == per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, [k, 5])
+
+
+def test_simulation_draws_its_trials_in_blocks_of_at_most_2_14_values(monkeypatch):
+    shapes, draw = [], adjustment._draw_flags
+
+    def spy(p, seeds, out):
+        shapes.append(out.shape)
+        return draw(p, seeds, out)
+
+    monkeypatch.setattr(adjustment, "_draw_flags", spy)
+    simulate_rejection_rate(1000, 0.5, 0.5, 0.01, trials=40)
+    simulate_rejection_rate(20000, 0.5, 0.5, 0.01, trials=2)
+    simulate_rejection_rate(10, 0.5, 0.5, 0.1, trials=3)
+    assert shapes == [(16, 1000), (16, 1000), (8, 1000), (1, 20000), (1, 20000), (3, 10)]
 
 
 def test_simulation_builds_no_ranking(monkeypatch):

@@ -226,6 +226,9 @@ def test_generator_validation():
         yang_stoyanovich_generate(0, 0.5)
     with pytest.raises(ValueError):
         yang_stoyanovich_generate(5, 1.0)
+    for k in (5.0, True, "5"):  # True would size a block of one ranking
+        with pytest.raises(ValueError, match="k must be an integer"):
+            yang_stoyanovich_generate(k, 0.5)
 
 
 def test_generator_per_position_frequency():

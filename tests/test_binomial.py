@@ -17,7 +17,9 @@ from fair_topk.binomial import (
     pmf,
     pmf_vector,
 )
-from fair_topk.fairness import compute_mtable
+from fair_topk.candidates import RankedSequence
+from fair_topk.fairness import compute_mtable, ranked_group_fairness_measure
+from exact import walked_along
 
 # Fraction(float) is the float's exact binary value, so the oracle sees the
 # same parameter the implementation does and 1e-12 is a pure-roundoff budget.
@@ -189,3 +191,50 @@ def test_k_must_be_an_integer_whatever_the_cache_holds(call, k, warm):
         call(int(k), 0.5, 0.1)
     with pytest.raises(ValueError, match=re.escape(f"k must be an integer, not {k!r}")):
         call(k, 0.5, 0.1)
+
+
+# lengths around the refresh every 256 trials; p near 0, in between, near 1
+CARRIED_KS = (1, 255, 256, 257, 512, 513, 1000)
+CARRIED_PS = (1e-6, 0.01, 0.37, 0.99, 1 - 1e-6)
+
+
+def count_paths(k: int, p: float):
+    """Prefix counts of random flags whose first flag is 0, then 1, and the
+    minimum-count tables at two significances."""
+    rng = np.random.default_rng(k)
+    for first in (0, 1):
+        flags = rng.random(k) < rng.choice([p, 0.5])
+        flags[0] = first
+        yield np.cumsum(flags)
+    for alpha in (0.1, 1e-4):
+        yield minimum_counts(k, p, alpha)
+
+
+def assert_same_bits(got, expected):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+@pytest.mark.parametrize("k", CARRIED_KS)
+@pytest.mark.parametrize("p", CARRIED_PS)
+def test_carried_values_are_the_walks_bit_for_bit(k, p):
+    for counts in count_paths(k, p):
+        assert counts[0] in (0, 1)
+        assert_same_bits(binomial._carried_along(counts, p), walked_along(counts, p))
+
+
+def test_carried_values_refresh_where_the_walk_does(monkeypatch):
+    monkeypatch.setattr(binomial, "_REFRESH_EVERY", 3)
+    for k in (1, 2, 3, 4, 6, 7, 100):
+        for counts in count_paths(k, 0.4):
+            assert_same_bits(binomial._carried_along(counts, 0.4), walked_along(counts, 0.4))
+
+
+@pytest.mark.parametrize("k", CARRIED_KS)
+@pytest.mark.parametrize("p", CARRIED_PS)
+def test_measure_and_plateau_read_the_walks_values(k, p):
+    for counts in count_paths(k, p):
+        cdfs, pmfs = walked_along(counts, p)
+        flags = np.diff(counts, prepend=0).astype(bool)
+        measure = ranked_group_fairness_measure(RankedSequence.from_flags(flags), p)
+        assert measure == float(min(cdfs.min(), 1.0))
+        assert binomial.table_plateau(counts, p) == binomial._plateau(counts, p, cdfs, pmfs)

@@ -16,7 +16,7 @@ from fair_topk.adjustment import (
     adjust_significance,
     rejection_probability,
 )
-from fair_topk.binomial import _table_walk, cdf, minimum_counts, table_plateau
+from fair_topk.binomial import cdf, minimum_counts, table_plateau
 from fair_topk.fairness import compute_mtable
 
 P_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -53,9 +53,9 @@ def test_plateau_matches_per_position_cdf(k, p, alpha):
         assert np.array_equal(minimum_counts(k, p, lower), minima)
         assert not np.array_equal(minimum_counts(k, p, math.nextafter(lower, 0.0)), minima)
     # the walk that builds the table reads the same plateau off its own carried values
-    walked, plateau = _table_walk(k, p, alpha)
+    walked, cdfs, pmfs = binomial._walked(k, p, alpha)
     assert np.array_equal(walked, minima)
-    assert plateau == (lower, upper)
+    assert binomial._plateau(walked, p, cdfs, pmfs) == (lower, upper)
 
 
 # targets low enough that derived tables re-decide counts within _BOUNDARY_EPS

@@ -1,9 +1,13 @@
-"""CLI tests: subcommand output, exit codes, determinism.  Everything runs
-in-process through cli.main so stdout/stderr land in capsys."""
+"""CLI tests: subcommand output, exit codes, determinism.  Everything but
+the import check runs in-process through cli.main so stdout/stderr land in
+capsys."""
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +446,26 @@ def test_simulate_readme_example(capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "100,0.500000,0.020700,2000,235,0.117500,0.007200"
+
+
+def test_simulate_many_blocks_of_long_rankings(capsys):
+    # 20,000 trials at k = 1000 fill 1,250 blocks of 16 trials; the line is
+    # the one a trial-at-a-time loop printed
+    code, out, _ = run(
+        capsys, "simulate", "--k", "1000", "--p", "0.5", "--alpha-adj", "0.01",
+        "--trials", "20000", "--seed", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "1000,0.500000,0.010000,20000,2083,0.104150,0.002160"
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # only `experiment` reads YAML configs, so no other command pays for the import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    check = "import sys, fair_topk.cli; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 def test_simulate_negative_seed_is_usage_error(capsys):

@@ -555,8 +555,12 @@ def test_repair_and_report_stay_within_their_memory_budgets():
     assert peak_bytes_per_row(lambda: color_blind_topk(pool, 1500)) <= 4.4
     # the repaired scores alone hold 8 bytes a row
     assert peak_bytes_per_row(lambda: feldman_repair(pool)) <= 16.0
+    # string ids of 7 characters: 28 bytes for each of about 0.4 n protected rows
+    named = CandidatePool(np.array([f"c{i}" for i in pool.ids]), pool.scores, pool.protected)
+    assert peak_bytes_per_row(lambda: feldman_repair(named)) <= 18.6
     # the normalized scores alone hold 8 bytes a row
-    assert peak_bytes_per_row(lambda: evaluate_ranking(pool, ranking)) <= 12.7
+    assert peak_bytes_per_row(lambda: normalize_scores(pool)) <= 9.0
+    assert peak_bytes_per_row(lambda: evaluate_ranking(pool, ranking)) <= 12.5
 
 
 # ---------------------------------------------------------------------------
