@@ -329,7 +329,20 @@ def _plateau(minima: np.ndarray, p: float, upper: np.ndarray, pmfs: np.ndarray) 
     )
 
 
+def _path_steps(counts: np.ndarray) -> np.ndarray:
+    """counts[0], then counts[i] - counts[i-1]: the steps of a count path,
+    which must each be 0 or 1.  Every table of minimum counts is such a path,
+    so no count exceeds its prefix length."""
+    steps = np.diff(counts, prepend=0)
+    if ((steps < 0) | (steps > 1)).any():
+        raise ValueError("minima must start at 0 or 1 and rise by 0 or 1 per position")
+    return steps
+
+
 def table_plateau(minima, p: float) -> tuple:
     """The half-open range [lower, upper) of alpha with minimum_counts(k, p, alpha) == minima:
-    max_i F(m(i)-1; i, p) <= alpha < min_i F(m(i); i, p), with F(-1) = 0."""
-    return _plateau(np.asarray(minima), p, *_carried_along(minima, p))
+    max_i F(m(i)-1; i, p) <= alpha < min_i F(m(i); i, p), with F(-1) = 0.
+    minima must be a count path (see _path_steps)."""
+    minima = np.asarray(minima)
+    _path_steps(minima)
+    return _plateau(minima, p, *_carried_along(minima, p))

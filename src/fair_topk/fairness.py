@@ -12,7 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from .binomial import _carried_along, _check_args, _check_prob, cdf, minimum_counts
+from .binomial import (
+    _carried_along, _check_args, _check_prob, _path_steps, cdf, minimum_counts,
+)
 from .candidates import RankedSequence
 
 __all__ = [
@@ -47,12 +49,7 @@ class MTable:
         object.__setattr__(self, "minima", minima)
         if minima.shape != (self.k,):
             raise ValueError("minima must have exactly k entries")
-        steps = np.diff(minima, prepend=0)
-        if ((steps < 0) | (steps > 1)).any():
-            raise ValueError("minima must be non-decreasing with steps of at most 1")
-        if (minima > np.arange(1, self.k + 1)).any():
-            raise ValueError("minima[i] cannot exceed the prefix length i")
-        inverse = np.flatnonzero(steps) + 1
+        inverse = np.flatnonzero(_path_steps(minima)) + 1
         object.__setattr__(self, "inverse", inverse)
         minima.setflags(write=False)
         inverse.setflags(write=False)

@@ -238,3 +238,10 @@ def test_measure_and_plateau_read_the_walks_values(k, p):
         measure = ranked_group_fairness_measure(RankedSequence.from_flags(flags), p)
         assert measure == float(min(cdfs.min(), 1.0))
         assert binomial.table_plateau(counts, p) == binomial._plateau(counts, p, cdfs, pmfs)
+
+
+def test_plateau_refuses_a_count_that_is_not_a_path():
+    # [0, 2, 2] once gave a plateau that no table has
+    for counts in ([0, 2, 2], [2, 2, 3], [1, 1, 0], [0, 1, 2, 1]):
+        with pytest.raises(ValueError, match="rise by 0 or 1"):
+            binomial.table_plateau(counts, 0.5)

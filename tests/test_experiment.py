@@ -186,6 +186,9 @@ ONE = {"higher_is_better": True, "protected_value": "1"}
 @example(("id,score,protected\n\x1c7,0.5,1\n", ONE))
 @example(('note,id,score,protected\n"x,1,0.5,1\ny",2,0.25,0\n', ONE))
 @example(('note,id,score,protected\n"x,1,0.5,1,y",2,0.25,0\n', ONE))
+# a flag value that is not its own strip matches no field, and NUL ends none
+@example(("id,score,protected\n1,0.5, 1\n2,0.25,1\n", dict(ONE, protected_value=" 1")))
+@example(("id,score,protected\n1,0.5,1\n", dict(ONE, protected_value="1\x00")))
 def test_c_parser_declines_or_matches_the_streaming_reader(tmp_path, drawn):
     text, overrides = drawn
     path = tmp_path / "pool.csv"
@@ -204,6 +207,67 @@ def test_c_parser_declines_or_matches_the_streaming_reader(tmp_path, drawn):
     assert fast.ids.tolist() == slow.ids.tolist()
     assert fast.scores.tobytes() == slow.scores.tobytes()  # -0.0 included
     assert fast.protected.tolist() == slow.protected.tolist()
+
+
+def _spy_on_loadtxt(monkeypatch):
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+def test_c_parser_is_given_the_file_name_not_a_handle(tmp_path, monkeypatch):
+    # numpy reads a named file in large pieces, but a handle line by line
+    sources = _spy_on_loadtxt(monkeypatch)
+    path = write(tmp_path / "pool.csv", "id,score,protected\n1,0.5,1\n2,0.25,0\n")
+    assert _parse_plain_pool(basic_spec(path)) is not None
+    assert len(sources) == 1 and type(sources[0]) is str
+    assert os.path.samefile(sources[0], path)
+
+
+def _loaded(spec):
+    try:
+        pool = load_candidates(spec)
+    except DataLoadError as exc:
+        return str(exc).replace(str(spec.path), "<pool>")
+    return pool.ids.tolist(), pool.scores.tolist(), pool.protected.tolist()
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("text", [
+    "id,score,protected\n1,0.5,1\n2,0.25,0\n",
+    "id,score,protected\n1,0.5,1\n2,high,0\n",
+])
+def test_names_numpy_would_decompress_go_to_the_row_reader(tmp_path, monkeypatch, suffix, text):
+    sources = _spy_on_loadtxt(monkeypatch)
+    spec = basic_spec(write(tmp_path / f"pool.csv{suffix}", text), k=1)
+    assert _parse_plain_pool(spec) is None and sources == []
+    # the same pool, or the same error, as a plain name gets
+    assert _loaded(spec) == _loaded(basic_spec(write(tmp_path / "pool.csv", text), k=1))
+
+
+def test_c_parser_reads_the_file_the_os_resolves(tmp_path, monkeypatch):
+    # "link/.." is the symlink target's parent, not the working directory
+    (tmp_path / "data" / "sub").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "data" / "sub")
+    write(tmp_path / "data" / "pool.csv", "id,score,protected\n1,0.5,1\n")
+    write(tmp_path / "pool.csv", "id,score,protected\n2,0.25,0\n")
+    monkeypatch.chdir(tmp_path)
+    ids, _, protected = _parse_plain_pool(basic_spec(os.path.join("link", "..", "pool.csv")))
+    assert ids.tolist() == [1] and protected.tolist() == [True]
+
+
+def test_an_absolute_name_reads_from_a_removed_working_directory(tmp_path, monkeypatch):
+    path = write(tmp_path / "pool.csv", "id,score,protected\n1,0.5,1\n")
+    (tmp_path / "gone").mkdir()
+    monkeypatch.chdir(tmp_path / "gone")
+    (tmp_path / "gone").rmdir()
+    assert load_candidates(basic_spec(path, k=1)).ids.tolist() == [1]
 
 
 def test_plain_check_finds_lines_longer_than_the_field_limit(monkeypatch):

@@ -43,11 +43,11 @@ def test_mtable_requirement_accessor():
 def test_mtable_rejects_malformed_minima():
     with pytest.raises(ValueError):
         MTable(3, 0.5, 0.1, np.array([0, 1]))  # wrong length
-    with pytest.raises(ValueError):
-        MTable(3, 0.5, 0.1, np.array([1, 0, 0]))  # decreasing
-    with pytest.raises(ValueError):
-        MTable(3, 0.5, 0.1, np.array([0, 2, 2]))  # step of two
-    with pytest.raises(ValueError):
+    # a count path starts at 0 or 1 and steps by 0 or 1, so it never exceeds its prefix length
+    for minima in ([1, 0, 0], [0, 2, 2], [2, 2, 2], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="rise by 0 or 1"):
+            MTable(3, 0.5, 0.1, np.array(minima))
+    with pytest.raises(ValueError, match="rise by 0 or 1"):
         MTable(2, 0.9, 0.5, np.array([1, 3]))  # exceeds prefix length
 
 
