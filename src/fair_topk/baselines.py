@@ -13,6 +13,9 @@ from .ranker import _blocks
 __all__ = ["RepairedPool", "feldman_repair", "yang_stoyanovich_generate"]
 
 _SEED_ERROR = "seed must be a non-negative integer or a sequence of them"
+# The low 63 bits of an int64: flipped on negative doubles, they make the
+# bits of finite doubles order as the doubles do.
+_MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -34,51 +37,29 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     non-decreasing in rank, so within-group order is preserved, and repairing
     an already-repaired pool changes nothing.
 
-    Cost: one default-kind argsort of the protected scores, then one value
-    sort of int64 keys that orders each run of tied scores by id: a key
-    packs (run, id - least id) above the index in score order, which needs
-    integer ids whose span times the number of runs fits in the bits above
-    that index.  Other ids are coded by their rank from one argsort, made
-    before the runs are labelled so that the two never share memory, and
-    the key is run * m + rank, which fits for m < 3e9.  The non-protected
+    Cost: one in-place value sort of int64 keys puts the protected rows in
+    (score, id) order.  A key's high bits are an order-preserving code of the
+    score: the bits of score + 0.0 (so -0.0 codes as 0.0) with the magnitude
+    bits flipped on negatives, less the least code, shifted right just far
+    enough to leave room for the id code below.  Integer ids whose span is
+    at most the pool's length are coded as id - least id, and a table of the
+    span, filled by one scatter, maps a code back to its row; other ids
+    (strings, sparse or extreme integers) are coded by their rank from one
+    argsort.  Equal scores share a prefix, so they come out in id order, and
+    if the sorted scores never fall the order is exactly that of
+    np.lexsort((ids, scores)).  If they fall, two distinct scores shared a
+    prefix, and the keys are made again from runs of equal scores found by
+    one argsort of the scores, then sorted once more.  The non-protected
     scores are sorted in place.  Each intermediate is released once used,
     and the repaired scores are looked up a block of ranks at a time.  The
     repaired pool shares the input pool's ids and flags, and none of its
     columns is validated again.
     """
-    rows = np.flatnonzero(pool.protected)
-    m, n = rows.shape[0], len(pool) - rows.shape[0]
+    m = int(np.count_nonzero(pool.protected))
+    n = len(pool) - m
     if m == 0 or n == 0:
         raise ValueError("both groups must be non-empty to repair")
-    rows = rows[np.argsort(pool.scores[rows])]  # ascending score, ties in any order
-    ids = pool.ids[rows]
-    bits = (m - 1).bit_length()  # of a row's index in score order
-    span = int(ids.max()) - int(ids.min()) + 1 if ids.dtype.kind in "iu" else None
-    key = _runs(pool.scores[rows]) if span is not None else None
-    if key is not None and (int(key[-1]) + 1) * span <= 1 << (63 - bits):
-        key *= span
-        key += np.subtract(ids, ids.min(), dtype=np.int64)  # exact: below span
-        del ids
-        key <<= bits
-        key |= np.arange(m)
-        key.sort()
-        key &= (1 << bits) - 1
-        order = rows[key]  # protected rows in (score, id) order
-    else:
-        del key  # the runs are labelled after the id argsort, which needs the room
-        by_id = np.argsort(ids)
-        del ids
-        rank = np.empty(m, dtype=np.int64)
-        rank[by_id] = np.arange(m)
-        key = _runs(pool.scores[rows])
-        key *= m
-        key += rank
-        del rank
-        key.sort()
-        key %= m
-        order = rows[by_id[key]]
-        del by_id
-    del rows, key
+    order = _protected_order(pool)
     # an index gather: numpy's boolean-mask gather takes several times as long
     open_scores = pool.scores[np.flatnonzero(~pool.protected)]
     open_scores.sort()
@@ -98,11 +79,65 @@ def feldman_repair(pool: CandidatePool) -> RepairedPool:
     return RepairedPool(pool._of(pool.ids, scores, pool.protected))
 
 
+def _protected_order(pool: CandidatePool) -> np.ndarray:
+    """The pool's protected rows in ascending (score, id) order, from one
+    value sort of int64 keys (two if scores collide in the key); see
+    feldman_repair.  The keys fit for pools of fewer than 2**31 rows."""
+    rows = np.flatnonzero(pool.protected)
+    ids = pool.ids[rows]
+    least = ids.min() if ids.dtype.kind in "iu" else None
+    span = int(ids.max()) - int(least) + 1 if least is not None else None
+    if span is not None and span <= len(pool):
+        code = ids.astype(np.int64, copy=False)  # uint64 ids wrap, and least with them
+        del ids
+        code -= least.astype(np.int64)  # exact: the span is at most the pool's length
+        row_of = np.empty(span, dtype=np.min_scalar_type(len(pool) - 1))
+        np.put(row_of, code, rows)  # casts faster than an index assignment
+        key = pool.scores[rows]
+    else:
+        by_id = np.argsort(ids)
+        del ids
+        row_of = rows[by_id]
+        del by_id
+        code = np.arange(row_of.shape[0])  # the position in id order
+        key = pool.scores[row_of]
+    del rows
+    bits = (row_of.shape[0] - 1).bit_length()  # of an id code
+    key += 0.0  # -0.0 becomes 0.0, so the two tie as they do in _runs
+    key = key.view(np.int64)
+    if key.min() < 0:  # negative scores: flip their magnitude bits
+        flip = key >> 63
+        flip &= _MAGNITUDE
+        key ^= flip
+        del flip
+    low, high = int(key.min()), int(key.max())  # the codes order as the scores do
+    key -= low
+    unsigned = key.view(np.uint64)  # key - low may pass 2**63
+    unsigned >>= max(0, (high - low).bit_length() + bits - 63)
+    key <<= bits
+    key |= code
+    del unsigned, code
+    key.sort()
+    key &= (1 << bits) - 1
+    order = row_of[key]
+    ordered = pool.scores[order]
+    if (ordered[1:] < ordered[:-1]).any():  # distinct scores shared a prefix
+        by_score = np.argsort(ordered)  # ascending score, ties in any order
+        runs = _runs(ordered[by_score])
+        runs <<= bits
+        runs |= key[by_score]
+        del by_score, key
+        runs.sort()
+        runs &= (1 << bits) - 1
+        order = row_of[runs]
+    return order
+
+
 def _runs(ascending: np.ndarray) -> np.ndarray:
     """The run of each entry of an ascending score array, numbered from 0: equal
     neighbours share a run, so -0.0 and 0.0 do.  Counted in place in int64,
     since np.cumsum of a bool array makes an int64 temporary."""
-    key = np.empty(ascending.shape[0], dtype=np.int64)
+    key = np.empty_like(ascending, dtype=np.int64)
     key[0] = 0
     np.not_equal(ascending[1:], ascending[:-1], out=key[1:])
     return np.cumsum(key, out=key)

@@ -37,7 +37,7 @@ from .experiment import (
 )
 from .fairness import compute_mtable, verify_ranked_group_fairness
 from .output import dump, record, write
-from .ranker import InfeasibleRankingError, color_blind_topk, fair_topk
+from .ranker import InfeasibleRankingError, _best_rows, color_blind_topk, fair_topk
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -131,7 +131,9 @@ def cmd_rank(args) -> int:
         ranking = result.entries
     elif args.method == "feldman":
         with nullcontext() if args.input is None else _file_faults(args.input):
-            ranking = color_blind_topk(feldman_repair(pool).pool, args.k)
+            repaired = feldman_repair(pool).pool
+        chosen = _best_rows(repaired, args.k)  # rows of the repaired pool are the pool's
+        ranking = repaired.take(chosen)
     else:
         ranking = color_blind_topk(pool, args.k)
 
@@ -141,7 +143,7 @@ def cmd_rank(args) -> int:
     # ranked candidate, so only those are sorted.
     original = ranking.scores
     if args.method == "feldman":  # ranked scores are repaired ones
-        original = pool.scores[np.isin(pool.ids, ranking.ids)]
+        original = pool.scores[chosen]
     rows = np.flatnonzero(pool.scores >= original.min())
     ids = pool.ids[rows[np.lexsort((pool.ids[rows], -pool.scores[rows]))]]
     by_id = np.argsort(ids)

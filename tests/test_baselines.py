@@ -7,7 +7,7 @@ from fair_topk.adjustment import adjust_significance
 from fair_topk.baselines import feldman_repair, yang_stoyanovich_generate
 from fair_topk.candidates import CandidatePool
 from fair_topk.fairness import verify_ranked_group_fairness
-from pools import ACROSS_BLOCKS, ID_KINDS, tied_pools
+from pools import ACROSS_BLOCKS, ID_KINDS, near_tie_pools, tied_pools
 
 
 def two_group_pool(protected_scores, open_scores):
@@ -132,23 +132,30 @@ def test_repair_matches_the_lexsort_order_across_blocks(blocks, kind, data):
 
 def edge_pool(case, seed):
     """A pool that takes each path of the repair's tie order: ids near
-    +-2**62 overflow the packed key, so they are ranked instead."""
+    +-2**62 or strings are ranked, where dense ids are coded as they are;
+    negative scores have their magnitude bits flipped; and scores a few ulps
+    apart beside +-1e308 share a key's prefix."""
     rng = np.random.default_rng(seed)
     sizes = {"m-much-above-n": (300, 3), "n-much-above-m": (3, 300)}
     n_protected, n_open = sizes.get(case, (25, 25))
     n = n_protected + n_open
-    levels = [-0.0, 0.0, 0.5] if case == "signed-zeros" else [0.25, 0.5, 0.75]
+    levels = {
+        "signed-zeros": [-0.0, 0.0, 5e-324],
+        "prefix-collision": [-1e308, 1e308, 0.5, np.nextafter(0.5, 1.0)],
+    }.get(case, [-0.75, -0.25, 0.5])
     scores = rng.choice(levels, size=n)
     ids = rng.permutation(n) + 1
     if case == "int64-extremes":
         ids = np.where(rng.random(n) < 0.5, -(2**62) - ids, 2**62 + ids)
+    if case == "string":
+        ids = np.array([f"c{i}" for i in ids])
     protected = rng.permutation(np.arange(n) < n_protected)
     return CandidatePool(ids, scores, protected)
 
 
-@pytest.mark.parametrize(
-    "case", ["int64-extremes", "signed-zeros", "m-much-above-n", "n-much-above-m"]
-)
+@pytest.mark.parametrize("case", [
+    "int64-extremes", "string", "signed-zeros", "prefix-collision", "m-much-above-n", "n-much-above-m"
+])
 def test_repair_matches_the_lexsort_order_on_edge_pools(case):
     for seed in range(30):
         pool = edge_pool(case, seed)
@@ -156,12 +163,40 @@ def test_repair_matches_the_lexsort_order_on_edge_pools(case):
         assert repaired.scores.tobytes() == parent_repaired_scores(pool).tobytes()
 
 
-@pytest.mark.parametrize("case, sorted_kinds", [("dense", ["f"]), ("int64-extremes", ["f", "i"])])
+@pytest.mark.parametrize("kind", ID_KINDS + ("uint64",))
+def test_repair_matches_the_lexsort_order_on_near_ties(monkeypatch, kind):
+    # scores a few ulps apart share a key's prefix once +-1e308 or a
+    # subnormal widens the range, and only the runs' argsort orders them
+    score_argsorts = []
+    original = np.argsort
+
+    def spy(a, *args, **kwargs):
+        if np.asarray(a).dtype.kind == "f":
+            score_argsorts.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=near_tie_pools(kind))
+    def check(pool):
+        repaired = feldman_repair(pool).pool
+        assert repaired.scores.tobytes() == parent_repaired_scores(pool).tobytes()
+
+    check()
+    assert score_argsorts, "no drawn pool took the prefix-collision path"
+
+
+@pytest.mark.parametrize(
+    "case, sorted_kinds",
+    [("dense", []), ("int64-extremes", ["i"]), ("string", ["U"]), ("prefix-collision", ["f"])],
+)
 def test_repair_argsorts_its_ids_only_when_the_packed_key_cannot_hold_them(
     monkeypatch, case, sorted_kinds
 ):
-    # dense ids go into one value sort of int64 keys; ids whose span the key
-    # cannot hold are ranked by a second argsort
+    # ids spanning at most the pool's length are coded as they are; other
+    # ids are ranked by one argsort, and scores that share a key's prefix
+    # are argsorted once more to number their runs
     pool = edge_pool(case, 1)
     m = pool.protected_count
     calls = []
@@ -177,22 +212,38 @@ def test_repair_argsorts_its_ids_only_when_the_packed_key_cannot_hold_them(
 
 
 def test_repair_makes_no_stable_sort(monkeypatch):
+    # the key sort is an array method, so the spies are methods of an array
+    # type the pool's columns carry into every array the repair sorts;
+    # np.sort and np.argsort reach them too
+    calls = []
+
+    class Spied(np.ndarray):
+        def sort(self, axis=-1, kind=None, order=None, *, stable=None):
+            calls.append(("sort", self.dtype.kind, kind, stable))
+            return super().sort(axis, kind, order, stable=stable)
+
+        def argsort(self, axis=-1, kind=None, order=None, *, stable=None):
+            calls.append(("argsort", self.dtype.kind, kind, stable))
+            return super().argsort(axis, kind, order, stable=stable)
+
+    original = np.lexsort
+
+    def lexsort(*args, **kwargs):
+        calls.append(("lexsort", None, None, None))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", lexsort)
     rng = np.random.default_rng(5)
     n = 10**4
     scores = rng.integers(0, n // 10, n) / (n // 10)
-    pool = CandidatePool(rng.permutation(n) + 1, scores, rng.random(n) < 0.4)
-    calls = []
-    for name in ("argsort", "lexsort", "sort"):
-        original = getattr(np, name)
-
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls.append((_name, kwargs.get("kind")))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np, name, spy)
-    feldman_repair(pool)
-    assert calls, "feldman_repair sorted nothing, so the spies saw nothing"
-    assert not [c for c in calls if c[0] == "lexsort" or c[1] in ("stable", "mergesort")]
+    pools = [CandidatePool(rng.permutation(n) + 1, scores, rng.random(n) < 0.4)]
+    pools += [edge_pool(case, 1) for case in ("int64-extremes", "string", "prefix-collision")]
+    for pool in pools:
+        calls.clear()
+        columns = (pool.ids.view(Spied), pool.scores.view(Spied), pool.protected)
+        feldman_repair(CandidatePool._of(*columns))
+        assert ("sort", "i", None, None) in calls, "the spies saw no key sort"
+        assert not [c for c in calls if c[0] == "lexsort" or c[2] in ("stable", "mergesort") or c[3]]
 
 
 # ---------------------------------------------------------------------------
