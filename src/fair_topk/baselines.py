@@ -16,6 +16,7 @@ _SEED_ERROR = "seed must be a non-negative integer or a sequence of them"
 # The low 63 bits of an int64: flipped on negative doubles, they make the
 # bits of finite doubles order as the doubles do.
 _MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
+_WORD_MASK = 0xFFFF_FFFF  # numpy splits seed integers into 32-bit words
 
 
 @dataclass(frozen=True)
@@ -149,26 +150,54 @@ def yang_stoyanovich_generate(
     """Synthetic fair ranking: protected with probability p at each position.
 
     Draws come from unbounded per-group pools, so only the flags are random;
-    ids are positions and scores descend with position.
+    ids are positions and scores descend with position.  Position i is
+    protected when the i-th uniform of ``np.random.default_rng(seed)`` is
+    below p.
     """
     _check_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_prob(p)
-    _seed_words(seed)  # only to reject a bad seed with a clear message
-    return RankedSequence.from_flags(_draw_flags(p, [seed], np.empty((1, k)))[0])
+    return RankedSequence.from_flags(_draw_flags(p, [_seed_words(seed)], np.empty((1, k)))[0])
 
 
-def _seed_words(seed) -> list:
-    """The seed as a list of non-negative integers (an integer is a list of one)."""
-    words = [seed] if isinstance(seed, (int, np.integer)) else seed
+def _seed_words(seed) -> np.ndarray:
+    """The seed's uint32 entropy words, by numpy's SeedSequence rule: each
+    non-negative integer of the seed (an integer is a sequence of one) as
+    its little-endian 32-bit words, 0 as one word, in order.  Seeding
+    ``default_rng`` with the words draws the stream the seed itself draws,
+    without numpy coercing the integers again.  Bools are refused."""
+    ints = [seed] if isinstance(seed, (int, np.integer)) else seed
     try:
-        words = list(words)
+        ints = list(ints)
     except TypeError:
         raise ValueError(_SEED_ERROR) from None
-    if not all(isinstance(w, (int, np.integer)) and w >= 0 for w in words):
+    if not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i >= 0 for i in ints
+    ):
         raise ValueError(_SEED_ERROR)
-    return words
+    words = []
+    for i in map(int, ints):
+        words.append(i & _WORD_MASK)
+        while i > _WORD_MASK:
+            i >>= 32
+            words.append(i & _WORD_MASK)
+    return np.array(words, dtype=np.uint32)
+
+
+def _trial_seeds(base: np.ndarray, start: int, stop: int, out: np.ndarray):
+    """Entropy rows for the seeds ``base + [t]``, t in range(start, stop),
+    where ``base`` holds a seed's words: row i seeds ``default_rng`` as the
+    sequence (seed..., start + i) does.  While every t is below 2**32 the
+    rows are the first stop - start rows of ``out``, a uint32 array of
+    len(base) + 1 columns, filled with base's words and then t; a t of 2**32
+    or more takes its further words by the same rule, in a row of its own."""
+    if stop > _WORD_MASK + 1:
+        return [np.concatenate((base, _seed_words(t))) for t in range(start, stop)]
+    rows = out[: stop - start]
+    rows[:, :-1] = base
+    rows[:, -1] = np.arange(start, stop, dtype=np.uint32)
+    return rows
 
 
 def _draw_flags(p: float, seeds, out: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from fair_topk import (
     simulate_rejection_rate,
 )
 from fair_topk.adjustment import FEASIBILITY_TOL, InfeasibleAdjustmentError, _table_rejection
-from fair_topk.baselines import yang_stoyanovich_generate
+from fair_topk.baselines import _seed_words, _trial_seeds, yang_stoyanovich_generate
 from fair_topk.binomial import minimum_counts
 from fair_topk.candidates import RankedSequence
 from fair_topk.fairness import MTable
@@ -223,13 +223,53 @@ def test_validation_errors():
             simulate_rejection_rate(k, 0.5, 0.5, 0.1, trials)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, None, "7", [3, -2], [[1]], [0.5]])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "7", [3, -2], [[1]], [0.5], True, [1, False]])
 def test_simulation_rejects_bad_seeds(seed):
     message = "seed must be a non-negative integer or a sequence of them"
     with pytest.raises(ValueError, match=message):
         simulate_rejection_rate(5, 0.5, 0.5, 0.1, 10, seed=seed)
     with pytest.raises(ValueError, match=message):
         yang_stoyanovich_generate(5, 0.5, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [[0], [2**32 - 1], [2**32], [2**64 + 5], [np.uint64(2**63)], [0, 2**40],
+     [np.int8(3), 2**96]],
+)
+@pytest.mark.parametrize("t", [0, 1, 2**32 - 1, 2**32, 2**33 + 7])
+def test_trial_seed_rows_draw_the_streams_of_their_integer_seeds(base, t):
+    words = _seed_words(base)
+    scratch = np.empty((1, words.size + 1), dtype=np.uint32)
+    row = _trial_seeds(words, t, t + 1, scratch)[0]
+    assert isinstance(row, np.ndarray) and row.dtype == np.uint32
+    np.testing.assert_array_equal(
+        np.random.default_rng(row).random(8), np.random.default_rng(base + [t]).random(8)
+    )
+
+
+def test_trial_seed_rows_across_the_second_word():
+    words = _seed_words([7, 2**33])
+    start, stop = 2**32 - 2, 2**32 + 2
+    rows = _trial_seeds(words, start, stop, np.empty((4, words.size + 1), dtype=np.uint32))
+    assert [len(row) for row in rows] == [4, 4, 5, 5]
+    for t, row in zip(range(start, stop), rows):
+        np.testing.assert_array_equal(
+            np.random.default_rng(row).random(4), np.random.default_rng([7, 2**33, t]).random(4)
+        )
+
+
+def test_simulation_seeds_each_trial_from_uint32_words(monkeypatch):
+    seeds, default_rng = [], np.random.default_rng
+
+    def spy(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    simulate_rejection_rate(100, 0.5, 0.5, 0.05, trials=200, seed=[3, 2**40])
+    assert len(seeds) == 200
+    assert all(isinstance(s, np.ndarray) and s.dtype == np.uint32 for s in seeds)
 
 
 def test_simulation_is_deterministic_and_calibrated():
