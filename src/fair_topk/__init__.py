@@ -10,8 +10,8 @@ from .adjustment import (
     simulate_rejection_rate,
 )
 from .baselines import RepairedPool, feldman_repair, yang_stoyanovich_generate
-from .binomial import cdf, minimum_counts, percent_point, pmf
-from .candidates import Candidate, CandidatePool, RankedSequence
+from .binomial import cdf, minimum_counts, percent_point
+from .candidates import CandidatePool, RankedSequence
 from .experiment import (
     DataLoadError,
     DatasetSpec,
@@ -21,13 +21,11 @@ from .experiment import (
     load_ranking,
     load_spec,
     run_experiment,
-    save_candidates,
 )
 from .fairness import (
     FairnessVerdict,
     MTable,
     compute_mtable,
-    fair_representation,
     ranked_group_fairness_measure,
     verify_ranked_group_fairness,
 )
@@ -36,9 +34,7 @@ from .metrics import (
     UtilityReport,
     evaluate_ranking,
     ndcg,
-    normalize_scores,
     ordering_utility,
-    ranked_utility,
     selection_utility,
 )
 from .ranker import (
@@ -53,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustmentResult",
-    "Candidate",
     "CandidatePool",
     "DataLoadError",
     "DatasetSpec",
@@ -75,7 +70,6 @@ __all__ = [
     "compute_mtable",
     "emit_curve_data",
     "evaluate_ranking",
-    "fair_representation",
     "fair_topk",
     "feldman_repair",
     "load_candidates",
@@ -83,15 +77,11 @@ __all__ = [
     "load_spec",
     "minimum_counts",
     "ndcg",
-    "normalize_scores",
     "ordering_utility",
     "percent_point",
-    "pmf",
     "ranked_group_fairness_measure",
-    "ranked_utility",
     "rejection_probability",
     "run_experiment",
-    "save_candidates",
     "selection_utility",
     "simulate_rejection_rate",
     "verify_ranked_group_fairness",

@@ -106,12 +106,14 @@ def _protected_order(pool: CandidatePool) -> np.ndarray:
     bits = (row_of.shape[0] - 1).bit_length()  # of an id code
     key += 0.0  # -0.0 becomes 0.0, so the two tie as they do in _runs
     key = key.view(np.int64)
-    if key.min() < 0:  # negative scores: flip their magnitude bits
+    low = key.min()
+    if low < 0:  # negative scores: flip their magnitude bits
         flip = key >> 63
         flip &= _MAGNITUDE
         key ^= flip
         del flip
-    low, high = int(key.min()), int(key.max())  # the codes order as the scores do
+        low = key.min()
+    low, high = int(low), int(key.max())  # the codes order as the scores do
     key -= low
     unsigned = key.view(np.uint64)  # key - low may pass 2**63
     unsigned >>= max(0, (high - low).bit_length() + bits - 63)

@@ -17,10 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["pmf", "pmf_vector", "cdf", "percent_point", "minimum_counts"]
+__all__ = ["cdf", "percent_point", "minimum_counts"]
 
 # Carried recurrences shed accumulated rounding by starting afresh after at
-# most this many one-step identities: _Walk (and _carried_along, which keeps
+# most this many one-step identities: _walked (and _carried_along, which keeps
 # its values) recomputes from the mode-seeded vector every this many trials,
 # and _Tables walks afresh before any count moves more often than this since
 # its table was walked.
@@ -83,18 +83,6 @@ def _pmf_vector(trials: int, p: float) -> np.ndarray:
     return out
 
 
-def pmf_vector(trials: int, p: float) -> np.ndarray:
-    """Read-only vector v with v[x] = Pr(X = x) for X ~ Bin(trials, p)."""
-    _check(trials, p)
-    return _pmf_vector(trials, p)
-
-
-def pmf(x: int, trials: int, p: float) -> float:
-    """Pr(X = x) for X ~ Bin(trials, p)."""
-    _check(trials, p, x)
-    return float(_pmf_vector(trials, p)[x])
-
-
 def cdf(x: int, trials: int, p: float) -> float:
     """F(x; trials, p) = Pr(X <= x), accumulated with compensated summation."""
     _check(trials, p, x)
@@ -115,44 +103,6 @@ def percent_point(alpha: float, trials: int, p: float) -> int:
     return int(counts[-1]) if trials else 0  # F(0; 0, p) = 1 > alpha
 
 
-class _Walk:
-    """F(c; i, p) and Pr(X = c; i, p), carried while the trial count i and the
-    count c each grow by one, with the one-step identities
-
-        F(c; i, p)     = F(c; i-1, p) - p * pmf(c; i-1, p)
-        pmf(c; i, p)   = pmf(c; i-1, p) * (1-p) * i / (i - c)
-        pmf(c+1; i, p) = pmf(c; i, p) * (i - c) / (c + 1) * p / (1-p)
-        F(c+1; i, p)   = F(c; i, p) + pmf(c+1; i, p)
-    """
-
-    __slots__ = ("p", "q", "odds", "i", "c", "cdf", "pmf")
-
-    def __init__(self, p: float):
-        self.p, self.q = p, 1.0 - p
-        self.odds = p / self.q
-        self.i = self.c = 0
-        self.cdf = self.pmf = 1.0  # Bin(0, p) puts all its mass on 0
-
-    def next_trial(self) -> None:
-        if self.i and self.i % _REFRESH_EVERY == 0:
-            self.exact()
-        self.i += 1
-        self.cdf -= self.p * self.pmf
-        self.pmf *= self.q * self.i / (self.i - self.c)
-
-    def next_count(self) -> None:
-        self.c += 1
-        self.pmf *= (self.i - self.c + 1) / self.c * self.odds
-        self.cdf += self.pmf
-
-    def exact(self) -> None:
-        self.cdf, self.pmf = cdf(self.c, self.i, self.p), pmf(self.c, self.i, self.p)
-
-    def exact_near(self, alpha: float) -> None:
-        if abs(self.cdf - alpha) < _BOUNDARY_EPS:
-            self.exact()
-
-
 def _check_args(k: int, p: float, alpha: float, name: str = "alpha") -> None:
     _check_int(k, "k")
     if k < 1:
@@ -161,20 +111,44 @@ def _check_args(k: int, p: float, alpha: float, name: str = "alpha") -> None:
     _check_prob(alpha, name)
 
 
+def _exact(c: int, i: int, p: float) -> tuple:
+    """(F(c; i, p), Pr(X = c; i, p)) from the mode-seeded vector."""
+    return cdf(c, i, p), float(_pmf_vector(i, p)[c])
+
+
 def _walked(k: int, p: float, alpha: float):
     """(minimum_counts(k, p, alpha), F(m(i); i, p), Pr(X = m(i); i, p)) from one
-    walk of the trial count, bumping the count while the carried cdf is <= alpha;
+    walk of the trial count, bumping the count while the carried cdf is <= alpha.
+
+    F(c; i, p) and Pr(X = c; i, p) are carried while the trial count i and
+    the count c each grow by one, with the one-step identities
+
+        F(c; i, p)     = F(c; i-1, p) - p * pmf(c; i-1, p)
+        pmf(c; i, p)   = pmf(c; i-1, p) * (1-p) * i / (i - c)
+        pmf(c+1; i, p) = pmf(c; i, p) * (i - c) / (c + 1) * p / (1-p)
+        F(c+1; i, p)   = F(c; i, p) + pmf(c+1; i, p)
+
+    and taken afresh from ``_exact`` every ``_REFRESH_EVERY`` trials;
     comparisons within ``_BOUNDARY_EPS`` of alpha are re-decided exactly."""
-    walk = _Walk(p)
+    q = 1.0 - p
+    odds, every = p / q, _REFRESH_EVERY
+    c, F, f = 0, 1.0, 1.0  # Bin(0, p) puts all its mass on 0
     out = np.empty(k, dtype=np.int64)
     cdfs, pmfs = np.empty(k), np.empty(k)
-    for i in range(k):
-        walk.next_trial()
-        walk.exact_near(alpha)
-        while walk.cdf <= alpha:
-            walk.next_count()
-            walk.exact_near(alpha)
-        out[i], cdfs[i], pmfs[i] = walk.c, walk.cdf, walk.pmf
+    for i in range(1, k + 1):
+        if i > 1 and (i - 1) % every == 0:
+            F, f = _exact(c, i - 1, p)
+        F -= p * f
+        f *= q * i / (i - c)
+        if abs(F - alpha) < _BOUNDARY_EPS:
+            F, f = _exact(c, i, p)
+        while F <= alpha:
+            c += 1
+            f *= (i - c + 1) / c * odds
+            F += f
+            if abs(F - alpha) < _BOUNDARY_EPS:
+                F, f = _exact(c, i, p)
+        out[i - 1], cdfs[i - 1], pmfs[i - 1] = c, F, f
     out.setflags(write=False)
     return out, cdfs, pmfs
 
@@ -195,7 +169,7 @@ class _Tables:
 
     The first table is walked (O(k) Python steps).  Each later one is derived
     from the previous table's minima and carried F(m(i); i, p) and
-    Pr(X = m(i); i, p): every count moves toward the new alpha with _Walk's
+    Pr(X = m(i); i, p): every count moves toward the new alpha with _walked's
     one-step identities at fixed trial count, vectorized over positions, so a
     derivation costs a few numpy operations per step of the count that moves
     farthest.  Comparisons within ``_BOUNDARY_EPS`` of alpha are re-decided
@@ -271,14 +245,15 @@ def _carried_along(counts, p: float):
 
     ``counts[i-1]`` is the count at trial i; it starts at 0 or 1 and grows by
     0 or 1 per trial, like a prefix count of protected flags or a table of
-    minimum counts.  These are the values a _Walk carries when each trial is
-    followed by a step of the count wherever the path steps, computed one
-    array pass per segment of ``_REFRESH_EVERY`` trials.  Each segment is
-    seeded as the walk's refresh seeds it: Bin(0, p) for the first, the exact
-    cdf and pmf for the others.  Its pmfs are one np.multiply.accumulate over
-    the interleaved trial and count factors, and its cdfs one
-    np.add.accumulate over the interleaved -p*pmf and +pmf increments.  Both
-    are sequential left folds, so every value equals the walk's bit for bit.
+    minimum counts.  These are the values _walked's one-step identities
+    carry when each trial is followed by a step of the count wherever the
+    path steps, computed one array pass per segment of ``_REFRESH_EVERY``
+    trials.  Each segment is seeded as the walk's refresh seeds it: Bin(0, p)
+    for the first, the exact cdf and pmf for the others.  Its pmfs are one
+    np.multiply.accumulate over the interleaved trial and count factors, and
+    its cdfs one np.add.accumulate over the interleaved -p*pmf and +pmf
+    increments.  Both are sequential left folds, so every value equals the
+    walk's bit for bit.
 
     Cost: O(k) in about twenty numpy calls, plus two accumulations and one
     exact cdf and pmf per later segment.
@@ -303,7 +278,7 @@ def _carried_along(counts, p: float):
     factors[0] = increments[0] = 1.0  # Bin(0, p) puts all its mass on 0
     for at, trials in zip(seeds[1:], range(every, k, every)):
         c = int(counts[trials - 1])
-        increments[at], factors[at] = cdf(c, trials, p), pmf(c, trials, p)
+        increments[at], factors[at] = _exact(c, trials, p)
     segments = list(zip(seeds, seeds[1:] + [len(factors)]))
     running = np.empty_like(factors)
     for a, b in segments:

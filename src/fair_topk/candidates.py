@@ -2,15 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
-
-
-class Candidate(NamedTuple):
-    id: object
-    score: float
-    protected: bool
 
 
 def _id_array(ids) -> np.ndarray:
@@ -103,10 +97,6 @@ class _Columns:
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
-
-    def __iter__(self) -> Iterator[Candidate]:
-        for i in range(len(self)):
-            yield Candidate(self.ids[i].item(), float(self.scores[i]), bool(self.protected[i]))
 
     @property
     def protected_count(self) -> int:

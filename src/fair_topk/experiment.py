@@ -33,7 +33,6 @@ __all__ = [
     "DataLoadError",
     "ExperimentRow",
     "load_candidates",
-    "save_candidates",
     "load_ranking",
     "load_spec",
     "run_experiment",
@@ -281,13 +280,6 @@ def _check_room(spec: DatasetSpec) -> None:
         _pool_for_k(spec)
 
 
-def save_candidates(pool: CandidatePool, path) -> None:
-    """Write a pool as the minimal id,score,protected schema (round-trips)."""
-    fields = (("id", "text"), ("score", "score"), ("protected", "flag"))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write(fh, fields, pool, False)
-
-
 def _boolean(text: str) -> bool:
     value = text.strip().lower()
     if value not in TRUTHY | FALSY:
@@ -313,15 +305,17 @@ def load_spec(path) -> DatasetSpec:
 
     A relative dataset path is resolved against the config file's directory.
     """
-    import yaml  # here, not at the top: no other command pays for importing it
-
     path = Path(path)
     if not path.exists():
         raise DataLoadError(f"{path}: no such file")
+    parse, malformed = json.loads, json.JSONDecodeError
+    if path.suffix != ".json":
+        import yaml  # here, not at the top: only a YAML config pays for importing it
+
+        parse, malformed = yaml.safe_load, yaml.YAMLError
     try:
-        text = path.read_text(encoding="utf-8")
-        mapping = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, yaml.YAMLError) as exc:
+        mapping = parse(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, malformed) as exc:
         raise DataLoadError(f"{path}: unparseable config: {exc}") from None
     if not isinstance(mapping, dict):
         raise DataLoadError(f"{path}: config must be a mapping")

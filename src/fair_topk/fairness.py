@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .binomial import (
-    _carried_along, _check_args, _check_prob, _path_steps, cdf, minimum_counts,
+    _carried_along, _check_args, _check_prob, _path_steps, minimum_counts,
 )
 from .candidates import RankedSequence
 
@@ -21,7 +21,6 @@ __all__ = [
     "MTable",
     "FairnessVerdict",
     "compute_mtable",
-    "fair_representation",
     "verify_ranked_group_fairness",
     "ranked_group_fairness_measure",
 ]
@@ -67,17 +66,6 @@ def compute_mtable(k: int, p: float, alpha_adj: float) -> MTable:
     and their types, so 10.0 is refused even after 10 has been cached."""
     _check_args(k, p, alpha_adj, name="alpha_adj")
     return MTable(k, p, alpha_adj, minimum_counts(k, p, alpha_adj))
-
-
-def fair_representation(protected_count: int, k: int, p: float, alpha: float) -> bool:
-    """Does a length-k prefix with this protected count pass the binomial test?
-
-    True iff F(protected_count; k, p) > alpha (strictly).
-    """
-    if not 0 <= protected_count <= k:
-        raise ValueError("protected_count must lie in [0, k]")
-    _check_prob(alpha, "alpha")
-    return cdf(protected_count, k, p) > alpha
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from .ranker import _best_rows, _blocks, color_blind_topk
 __all__ = [
     "UtilityReport",
     "OrderingResult",
-    "normalize_scores",
-    "ranked_utility",
     "selection_utility",
     "ordering_utility",
     "ndcg",
@@ -30,7 +28,7 @@ __all__ = [
 ]
 
 
-def normalize_scores(pool: CandidatePool) -> CandidatePool:
+def _normalized(pool: CandidatePool) -> CandidatePool:
     """Min-max normalize pool scores to [0, 1]; constant pools map to all 1.0.
 
     The pool's scores are finite, and so are these, so the new pool is built
@@ -40,7 +38,7 @@ def normalize_scores(pool: CandidatePool) -> CandidatePool:
     if hi == lo:
         scores = np.ones(len(pool))
     elif math.isinf(hi - lo):  # the halved scores keep their order, in a finite range
-        return normalize_scores(pool._of(pool.ids, pool.scores / 2, pool.protected))
+        return _normalized(pool._of(pool.ids, pool.scores / 2, pool.protected))
     else:
         scores = pool.scores - lo
         scores /= hi - lo
@@ -113,27 +111,6 @@ def _ranked_rows(pool: CandidatePool, ranking: RankedSequence) -> np.ndarray:
     if not np.array_equal(pool.ids[rows], ids):
         raise ValueError(_FOREIGN_IDS)
     return rows
-
-
-def ranked_utility(candidate_id, ranking: RankedSequence, pool: CandidatePool) -> float:
-    """Utility of one candidate: min(0, least score above it minus its score).
-
-    Candidates absent from the ranking sit below every ranked candidate.
-    The top-ranked candidate has nothing above it, hence utility 0.
-    """
-    matches = np.flatnonzero(ranking.ids == candidate_id)
-    if matches.shape[0]:
-        position = int(matches[0])
-        score = float(ranking.scores[position])
-        above = ranking.scores[:position]
-    else:
-        rows = np.flatnonzero(pool.ids == candidate_id)
-        if not rows.shape[0]:
-            raise ValueError(f"unknown candidate id: {candidate_id!r}")
-        score = float(pool.scores[rows[0]])
-        above = ranking.scores
-    least_above = float(above.min()) if above.shape[0] else math.inf
-    return min(0.0, least_above - score)
 
 
 def _selection(ranking, pool, rows, best):
@@ -253,7 +230,7 @@ def evaluate_ranking(pool: CandidatePool, ranking: RankedSequence) -> UtilityRep
     ordering witness.
     """
     rows = _ranked_rows(pool, ranking)
-    normalized = normalize_scores(pool)
+    normalized = _normalized(pool)
     best = _best_rows(normalized, len(ranking))
     normalized_ranking = ranking.with_scores(normalized.scores[rows])
     ordering = _ordering(normalized_ranking, rows, best)

@@ -25,7 +25,8 @@ import numpy as np
 
 from fair_topk.adjustment import SimulationResult
 from fair_topk.baselines import yang_stoyanovich_generate
-from fair_topk.binomial import _Walk, minimum_counts, pmf_vector
+from fair_topk import binomial
+from fair_topk.binomial import _pmf_vector, minimum_counts
 from fair_topk.fairness import verify_ranked_group_fairness
 
 
@@ -205,7 +206,7 @@ def convolved_rejection_probability(minima, p):
     inverse = np.flatnonzero(np.diff(np.asarray(minima), prepend=0)) + 1
     S, dropped = np.ones(1), []
     for block in np.diff(inverse, prepend=0).tolist():
-        full = np.convolve(S, pmf_vector(block, p))
+        full = np.convolve(S, _pmf_vector(block, p))
         dropped.append(full[0])
         S = full[1:]
     return math.fsum(dropped)
@@ -247,11 +248,63 @@ def per_trial_simulation(k, p_generator, p_test, alpha_adj, trials, seed):
     return SimulationResult(estimate, stderr, trials, rejections)
 
 
+class Walk:
+    """F(c; i, p) and Pr(X = c; i, p), carried one scalar step at a time while
+    the trial count i and the count c each grow by one, with the one-step
+    identities of ``binomial._walked`` and its refresh every
+    ``binomial._REFRESH_EVERY`` trials."""
+
+    __slots__ = ("p", "q", "odds", "i", "c", "cdf", "pmf")
+
+    def __init__(self, p: float):
+        self.p, self.q = p, 1.0 - p
+        self.odds = p / self.q
+        self.i = self.c = 0
+        self.cdf = self.pmf = 1.0  # Bin(0, p) puts all its mass on 0
+
+    def next_trial(self) -> None:
+        if self.i and self.i % binomial._REFRESH_EVERY == 0:
+            self.exact()
+        self.i += 1
+        self.cdf -= self.p * self.pmf
+        self.pmf *= self.q * self.i / (self.i - self.c)
+
+    def next_count(self) -> None:
+        self.c += 1
+        self.pmf *= (self.i - self.c + 1) / self.c * self.odds
+        self.cdf += self.pmf
+
+    def exact(self) -> None:
+        self.cdf = binomial.cdf(self.c, self.i, self.p)
+        self.pmf = float(_pmf_vector(self.i, self.p)[self.c])
+
+    def exact_near(self, alpha: float) -> None:
+        if abs(self.cdf - alpha) < binomial._BOUNDARY_EPS:
+            self.exact()
+
+
+def walked_table(k, p, alpha):
+    """(minima, F(m(i); i, p), Pr(X = m(i); i, p)) by one Walk, bumping the
+    count while its cdf is <= alpha and re-deciding near alpha exactly.  The
+    bit-level reference for ``binomial._walked``."""
+    walk = Walk(p)
+    out = np.empty(k, dtype=np.int64)
+    cdfs, pmfs = np.empty(k), np.empty(k)
+    for i in range(k):
+        walk.next_trial()
+        walk.exact_near(alpha)
+        while walk.cdf <= alpha:
+            walk.next_count()
+            walk.exact_near(alpha)
+        out[i], cdfs[i], pmfs[i] = walk.c, walk.cdf, walk.pmf
+    return out, cdfs, pmfs
+
+
 def walked_along(counts, p):
     """(F(c_i; i, p), Pr(X = c_i; i, p)) for i = 1..k along a count path, by
-    one scalar _Walk: a trial step, then a count step wherever the path
-    steps.  The bit-level reference for ``binomial._carried_along``."""
-    walk = _Walk(p)
+    one Walk: a trial step, then a count step wherever the path steps.  The
+    bit-level reference for ``binomial._carried_along``."""
+    walk = Walk(p)
     cdfs, pmfs = np.empty(len(counts)), np.empty(len(counts))
     for i, c in enumerate(np.asarray(counts).tolist()):
         walk.next_trial()

@@ -14,8 +14,18 @@ import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
 from fair_topk.candidates import CandidatePool
+from fair_topk.output import write
 
 ID_KINDS = ("dense", "negative", "sparse", "string")
+
+
+def write_pool(pool, path):
+    """Write a pool as an id,score,protected CSV in the CLI's output format,
+    which load_candidates reads back exactly: each score as its repr."""
+    fields = (("id", "text"), ("score", "score"), ("protected", "flag"))
+    rows = zip(pool.ids.tolist(), pool.scores.tolist(), pool.protected.tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write(fh, fields, rows, False)
 
 
 def draw_ids(rng, kind, n):

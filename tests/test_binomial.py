@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 
 from fair_topk import binomial
 from fair_topk.adjustment import adjust_significance, rejection_probability
-from fair_topk.binomial import (
-    cdf,
-    minimum_counts,
-    percent_point,
-    pmf,
-    pmf_vector,
-)
+from fair_topk.binomial import _pmf_vector, cdf, minimum_counts, percent_point
 from fair_topk.candidates import RankedSequence
 from fair_topk.fairness import compute_mtable, ranked_group_fairness_measure
-from exact import walked_along
+from exact import walked_along, walked_table
 
 # Fraction(float) is the float's exact binary value, so the oracle sees the
 # same parameter the implementation does and 1e-12 is a pure-roundoff budget.
@@ -39,7 +33,7 @@ def test_pmf_matches_exact_fractions(p):
     pf = Fraction(p)
     for n in (0, 1, 2, 7, 19, 30):
         for x in range(n + 1):
-            assert pmf(x, n, p) == pytest.approx(float(exact_pmf(x, n, pf)), abs=1e-12)
+            assert _pmf_vector(n, p)[x] == pytest.approx(float(exact_pmf(x, n, pf)), abs=1e-12)
 
 
 @pytest.mark.parametrize("p", PS)
@@ -52,7 +46,7 @@ def test_cdf_matches_exact_fractions(p):
 
 def test_frozen_reference_values():
     # exact decimals for p = 2/5 (terminating): 9C2*(2/5)^2*(3/5)^7 etc.
-    assert pmf(2, 9, 0.4) == pytest.approx(0.161243136, abs=1e-12)
+    assert _pmf_vector(9, 0.4)[2] == pytest.approx(0.161243136, abs=1e-12)
     assert cdf(1, 9, 0.4) == pytest.approx(0.070543872, abs=1e-12)
     assert cdf(0, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
 
@@ -60,8 +54,9 @@ def test_frozen_reference_values():
 @pytest.mark.parametrize("n", [1, 5, 37, 256, 2000])
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_pmf_vector_is_a_distribution(n, p):
-    vec = pmf_vector(n, p)
+    vec = _pmf_vector(n, p)
     assert vec.shape == (n + 1,)
+    assert not vec.flags.writeable  # the vector is cached and shared
     assert (vec >= 0.0).all()
     # the mode-seeded recurrence drifts by O(n) ulps across the far tail
     assert math.fsum(vec) == pytest.approx(1.0, abs=5e-15 * n + 1e-13)
@@ -138,14 +133,13 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="trials must be non-negative"):
         cdf(0, -1, 0.5)
     for p in (0.0, 1.0):
-        for call in (lambda: pmf(0, 3, p), lambda: cdf(0, 3, p),
-                     lambda: pmf_vector(3, p), lambda: percent_point(0.1, 3, p)):
+        for call in (lambda: cdf(0, 3, p), lambda: percent_point(0.1, 3, p)):
             with pytest.raises(ValueError, match=r"p must lie in the open interval \(0, 1\)"):
                 call()
     with pytest.raises(ValueError, match="trials must be non-negative"):
         percent_point(0.1, -1, 0.5)
     with pytest.raises(ValueError, match=r"x=4 outside support \[0, 3\]"):
-        pmf(4, 3, 0.5)
+        cdf(4, 3, 0.5)
     with pytest.raises(ValueError, match=r"x=-1 outside support"):
         cdf(-1, 3, 0.5)
     with pytest.raises(ValueError):
@@ -155,18 +149,21 @@ def test_parameter_validation():
     assert len(minimum_counts(np.int64(10), 0.5, 0.1)) == 10  # numpy integers are integers
 
 
+# The pmf cases warm the pmf cache itself, which trusts its callers to have
+# checked the arguments; the validating callers must still refuse.
 @pytest.mark.parametrize("call, warm_call, message", [
     (lambda: cdf(3, 10.0, 0.5), lambda: cdf(3, 10, 0.5), "trials must be an integer, not 10.0"),
-    (lambda: pmf(3, 10.0, 0.5), lambda: pmf(3, 10, 0.5), "trials must be an integer, not 10.0"),
-    (lambda: pmf_vector(10.0, 0.5), lambda: pmf_vector(10, 0.5),
+    (lambda: cdf(3, 10.0, 0.5), lambda: _pmf_vector(10, 0.5),
      "trials must be an integer, not 10.0"),
-    (lambda: pmf_vector(True, 0.5), lambda: pmf_vector(1, 0.5),
+    (lambda: percent_point(0.1, 10.0, 0.5), lambda: _pmf_vector(10, 0.5),
+     "trials must be an integer, not 10.0"),
+    (lambda: cdf(0, True, 0.5), lambda: _pmf_vector(1, 0.5),
      "trials must be an integer, not True"),
     (lambda: percent_point(0.1, 10.0, 0.5), lambda: percent_point(0.1, 10, 0.5),
      "trials must be an integer, not 10.0"),
     (lambda: cdf(2.5, 10, 0.5), lambda: cdf(2, 10, 0.5), "x must be an integer, not 2.5"),
     (lambda: cdf(True, 10, 0.5), lambda: cdf(1, 10, 0.5), "x must be an integer, not True"),
-    (lambda: pmf(3.0, 10, 0.5), lambda: pmf(3, 10, 0.5), "x must be an integer, not 3.0"),
+    (lambda: cdf(3.0, 10, 0.5), lambda: _pmf_vector(10, 0.5), "x must be an integer, not 3.0"),
 ], ids=["cdf", "pmf", "pmf_vector", "pmf_vector-bool", "percent_point", "cdf-x", "cdf-x-bool",
         "pmf-x"])
 @pytest.mark.parametrize("warm", [False, True])
@@ -227,6 +224,23 @@ def test_carried_values_refresh_where_the_walk_does(monkeypatch):
     for k in (1, 2, 3, 4, 6, 7, 100):
         for counts in count_paths(k, 0.4):
             assert_same_bits(binomial._carried_along(counts, 0.4), walked_along(counts, 0.4))
+
+
+WALKED_ALPHAS = (0.125, 0.1, 0.05, 0.0203, 1e-4, 1e-8)
+
+
+@pytest.mark.parametrize("k", [1, 10, 100, 257, 1000, 1500])
+def test_walked_tables_are_the_scalar_walks_bit_for_bit(k):
+    for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        for alpha in WALKED_ALPHAS:
+            assert_same_bits(binomial._walked(k, p, alpha), walked_table(k, p, alpha))
+
+
+def test_walked_tables_refresh_where_the_scalar_walk_does(monkeypatch):
+    monkeypatch.setattr(binomial, "_REFRESH_EVERY", 3)
+    for k in (1, 2, 3, 4, 6, 7, 100):
+        for alpha in WALKED_ALPHAS:
+            assert_same_bits(binomial._walked(k, 0.4, alpha), walked_table(k, 0.4, alpha))
 
 
 @pytest.mark.parametrize("k", CARRIED_KS)

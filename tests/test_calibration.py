@@ -88,15 +88,14 @@ def test_every_evaluated_table_is_the_walked_table(monkeypatch):
 
 
 def counted_walks(monkeypatch) -> list:
-    """One entry per binomial._Walk made from now on."""
-    walks = []
+    """One entry per binomial._walked call made from now on."""
+    walks, walked = [], binomial._walked
 
-    class CountedWalk(binomial._Walk):
-        def __init__(self, p):
-            walks.append(p)
-            super().__init__(p)
+    def counted(k, p, alpha):
+        walks.append(p)
+        return walked(k, p, alpha)
 
-    monkeypatch.setattr(binomial, "_Walk", CountedWalk)
+    monkeypatch.setattr(binomial, "_walked", counted)
     return walks
 
 

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fair_topk import Candidate, CandidatePool, RankedSequence
+from fair_topk import CandidatePool, RankedSequence
 
 
 def test_pool_from_candidates_roundtrip():
     pool = CandidatePool.from_candidates([(3, 0.5, True), (1, 0.9, False), (2, 0.7, False)])
     assert len(pool) == 3
-    assert [c.id for c in pool] == [3, 1, 2]
-    assert [c.score for c in pool] == [0.5, 0.9, 0.7]
-    assert [c.protected for c in pool] == [True, False, False]
-    first = next(iter(pool))
-    assert isinstance(first, Candidate)
-    assert isinstance(first.id, int) and isinstance(first.score, float)
+    assert pool.ids.tolist() == [3, 1, 2]
+    assert pool.scores.tolist() == [0.5, 0.9, 0.7]
+    assert pool.protected.tolist() == [True, False, False]
+    assert pool.ids.dtype == np.int64 and pool.protected.dtype == bool
 
 
 def test_integer_ids_coerce_to_int64():

@@ -14,9 +14,9 @@ import pytest
 
 from fair_topk import cli, experiment, output
 from fair_topk.candidates import CandidatePool
-from fair_topk.experiment import save_candidates
 from fair_topk.fairness import compute_mtable
 from fair_topk.ranker import color_blind_topk
+from pools import write_pool
 
 
 def run(capsys, *argv):
@@ -390,7 +390,7 @@ def test_rank_color_blind_position_with_ties_and_string_ids(capsys, tmp_path):
     ids = [f"c{i}" for i in rng.choice(1000, size=40, replace=False)]
     pool = CandidatePool(ids, rng.integers(0, 3, 40) / 2.0, rng.random(40) < 0.3)
     path = tmp_path / "pool.csv"
-    save_candidates(pool, path)
+    write_pool(pool, path)
     full = color_blind_topk(pool, len(pool)).ids.tolist()
     code, out, _ = run(
         capsys, "rank", str(path), "--k", "15", "--p", "0.6", "--alpha", "0.1", "--raw"
@@ -414,7 +414,7 @@ def test_rank_baseline_color_blind_position_is_in_the_original_pool(
     protected = rng.random(60) < 0.3
     pool = CandidatePool(ids, rng.integers(0, 4, 60) / 2.0 - protected, protected)
     path = tmp_path / "pool.csv"
-    save_candidates(pool, path)
+    write_pool(pool, path)
     full = [str(i) for i in color_blind_topk(pool, len(pool)).ids.tolist()]
     code, out, _ = run(capsys, "rank", str(path), "--k", "20", "--method", method)
     assert code == 0
@@ -459,13 +459,32 @@ def test_simulate_many_blocks_of_long_rankings(capsys):
     assert out.splitlines()[1] == "1000,0.500000,0.010000,20000,2083,0.104150,0.002160"
 
 
+def package_env():
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_importing_the_cli_leaves_yaml_unloaded():
     # only `experiment` reads YAML configs, so no other command pays for the import
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     check = "import sys, fair_topk.cli; sys.exit('yaml' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", check], env=package_env()).returncode == 0
+
+
+def test_a_json_experiment_leaves_yaml_unloaded(tmp_path):
+    # json reads a .json config, so only a YAML config pays for importing yaml
+    (tmp_path / "pool.csv").write_text(
+        "id,score,protected\n1,0.9,0\n2,0.8,1\n3,0.7,0\n4,0.6,1\n", encoding="utf-8"
+    )
+    config = tmp_path / "exp.json"
+    config.write_text('{"name": "j", "path": "pool.csv", "k": 2}', encoding="utf-8")
+    check = ("import sys; from fair_topk import cli; code = cli.main(sys.argv[1:]); "
+             "sys.exit(code or ('yaml' in sys.modules and 'yaml was imported'))")
+    result = subprocess.run([sys.executable, "-c", check, "experiment", str(config)],
+                            env=package_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1].startswith("j,color-blind,0.500000,")
 
 
 def test_simulate_negative_seed_is_usage_error(capsys):

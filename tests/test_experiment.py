@@ -26,10 +26,10 @@ from fair_topk.experiment import (
     load_ranking,
     load_spec,
     run_experiment,
-    save_candidates,
 )
 from fair_topk.candidates import CandidatePool
 from fair_topk.output import write as write_rows
+from pools import write_pool
 
 REPORT_HEADER = (
     "dataset,method,p,pct_protected_output,ndcg,ordering_utility_loss,rank_drop,"
@@ -113,7 +113,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(12)
     pool = CandidatePool(np.arange(50), rng.random(50), rng.random(50) < 0.4)
     out = tmp_path / "out.csv"
-    save_candidates(pool, out)
+    write_pool(pool, out)
     again = load_candidates(DatasetSpec(name="x", path=out, k=1))
     assert again.scores.tolist() == pool.scores.tolist()  # repr() round-trips
     assert again.protected.tolist() == pool.protected.tolist()
@@ -315,11 +315,11 @@ import sys
 from pathlib import Path
 from fair_topk.candidates import CandidatePool
 from fair_topk.datasets import write_german_credit_like
-from fair_topk.experiment import DatasetSpec, load_candidates, save_candidates
+from fair_topk.experiment import DatasetSpec, load_candidates
 from fair_topk.store import cached_adjustment
 
 out = Path(sys.argv[1])
-save_candidates(CandidatePool(["\u00e91", "\u00fc2"], [1.0, 2.0], [True, False]), out / "pool.csv")
+(out / "pool.csv").write_text("id,score,protected\\n\u00e91,1.0,1\\n\u00fc2,2.0,0\\n", encoding="utf-8")
 pool = load_candidates(DatasetSpec(name="pool", path=out / "pool.csv", k=1))
 assert pool.ids.tolist() == ["\u00e91", "\u00fc2"], pool.ids
 write_german_credit_like(out / "credit.csv", n=50)
@@ -483,7 +483,7 @@ def small_dataset(tmp_path):
     rng = np.random.default_rng(77)
     pool = CandidatePool(np.arange(1, 41), rng.random(40), rng.random(40) < 0.5)
     path = tmp_path / "pool.csv"
-    save_candidates(pool, path)
+    write_pool(pool, path)
     return DatasetSpec(name="small", path=path, k=10, p_grid=(0.3, 0.5))
 
 

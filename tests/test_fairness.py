@@ -8,7 +8,7 @@ from fair_topk import (
     MTable,
     RankedSequence,
     compute_mtable,
-    fair_representation,
+    minimum_counts,
     ranked_group_fairness_measure,
     verify_ranked_group_fairness,
 )
@@ -100,15 +100,13 @@ def test_blocks_partition_the_ranking(k, p, alpha):
 
 
 def test_fair_representation_strict_boundary():
-    # F(0; 1, 0.5) = 0.5: the test demands strictly more than alpha
-    assert fair_representation(0, 1, 0.5, 0.49)
-    assert not fair_representation(0, 1, 0.5, 0.5)
-    assert fair_representation(1, 1, 0.5, 0.99)
-    with pytest.raises(ValueError):
-        fair_representation(2, 1, 0.5, 0.1)
+    # F(0; 1, 0.5) = 0.5: a prefix passes only when its cdf is strictly above alpha
+    assert minimum_counts(1, 0.5, 0.49).tolist() == [0]
+    assert minimum_counts(1, 0.5, 0.5).tolist() == [1]
+    assert minimum_counts(1, 0.5, 0.99).tolist() == [1]  # F(1; 1, 0.5) = 1
     for alpha in (1.5, -0.1, 0.0, 1.0):
         with pytest.raises(ValueError, match=r"alpha must lie in the open interval \(0, 1\)"):
-            fair_representation(0, 1, 0.5, alpha)
+            minimum_counts(1, 0.5, alpha)
 
 
 def test_worked_example_sequences():

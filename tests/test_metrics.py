@@ -14,9 +14,7 @@ from fair_topk.metrics import (
     UtilityReport,
     evaluate_ranking,
     ndcg,
-    normalize_scores,
     ordering_utility,
-    ranked_utility,
     selection_utility,
 )
 from fair_topk.ranker import color_blind_topk, fair_topk
@@ -36,18 +34,19 @@ def random_pool(rng, n, n_protected=None):
 
 def test_normalize_min_max():
     pool = CandidatePool([1, 2, 3], [2.0, 6.0, 4.0], [0, 1, 0])
-    normalized = normalize_scores(pool)
+    normalized = metrics._normalized(pool)
     assert normalized.scores.tolist() == [0.0, 1.0, 0.5]
     assert np.array_equal(normalized.ids, pool.ids)
 
 
 def test_normalize_constant_pool_maps_to_ones():
     pool = CandidatePool([1, 2], [3.0, 3.0], [0, 1])
-    assert normalize_scores(pool).scores.tolist() == [1.0, 1.0]
+    assert metrics._normalized(pool).scores.tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
-# ranked utility
+# ranked utility: a candidate's min(0, least score above it minus its own),
+# read through the worst cases that ordering and selection utility report
 
 def pool_095_08():
     # three candidates whose scores double as their identity in the examples
@@ -57,33 +56,37 @@ def pool_095_08():
 def test_ranked_utility_element_below_worse_one():
     pool = pool_095_08()
     ranking = RankedSequence([1, 2, 3], [0.9, 0.5, 0.8], [0, 1, 0])
-    assert ranked_utility(3, ranking, pool) == pytest.approx(-0.3)
+    utility, drop, witness = ordering_utility(ranking, pool)
+    assert utility == pytest.approx(-0.3)
+    assert (drop, witness) == (1, 3)  # color-blind second, ranked third
 
 
 def test_ranked_utility_sorted_ranking_is_zero_everywhere():
     pool = pool_095_08()
     ranking = RankedSequence([1, 3, 2], [0.9, 0.8, 0.5], [0, 0, 1])
-    for cid in (1, 2, 3):
-        assert ranked_utility(cid, ranking, pool) == 0.0
+    assert ordering_utility(ranking, pool) == (0.0, 0, None)
+    assert selection_utility(ranking, pool) == 0.0
 
 
 def test_ranked_utility_excluded_sits_below_everything():
     pool = CandidatePool([1, 2, 3], [0.9, 0.5, 0.6], [0, 1, 0])
     ranking = RankedSequence([1, 2], [0.9, 0.5], [0, 1])
-    assert ranked_utility(3, ranking, pool) == pytest.approx(-0.1)
+    assert selection_utility(ranking, pool) == pytest.approx(-0.1)
 
 
 def test_ranked_utility_top_element_is_zero():
-    ranking = RankedSequence([2, 1], [0.5, 0.9], [1, 0])
     pool = CandidatePool([1, 2], [0.9, 0.5], [0, 1])
-    assert ranked_utility(2, ranking, pool) == 0.0
+    assert ordering_utility(RankedSequence([2], [0.5], [1]), pool) == (0.0, 0, None)
+    ranking = RankedSequence([2, 1], [0.5, 0.9], [1, 0])
+    assert ordering_utility(ranking, pool).worst_candidate == 1
 
 
 def test_ranked_utility_unknown_id_raises():
     pool = pool_095_08()
-    ranking = RankedSequence([1], [0.9], [0])
-    with pytest.raises(ValueError):
-        ranked_utility(99, ranking, pool)
+    ranking = RankedSequence([1, 99], [0.9, 0.5], [0, 0])
+    for utility in (ordering_utility, selection_utility):
+        with pytest.raises(ValueError, match="ranking contains ids not present in the pool"):
+            utility(ranking, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +270,7 @@ def test_report_normalizes_over_the_pool():
 def test_report_on_a_pool_whose_score_range_overflows(recwarn):
     # every score is finite, but 1e308 - (-1e308) is not
     pool = CandidatePool([1, 2, 3, 4], [1e308, 5e307, 0.0, -1e308], [0, 1, 0, 1])
-    assert normalize_scores(pool).scores.tolist() == [1.0, 0.75, 0.5, 0.0]
+    assert metrics._normalized(pool).scores.tolist() == [1.0, 0.75, 0.5, 0.0]
     ranking = fair_topk(pool, 2, 0.9, 0.05).entries  # minima [0, 1] forces id 2
     assert ranking.ids.tolist() == [1, 2]
     report = evaluate_ranking(pool, ranking)
@@ -559,7 +562,7 @@ def test_repair_and_report_stay_within_their_memory_budgets():
     named = CandidatePool(np.array([f"c{i}" for i in pool.ids]), pool.scores, pool.protected)
     assert peak_bytes_per_row(lambda: feldman_repair(named)) <= 18.6
     # the normalized scores alone hold 8 bytes a row
-    assert peak_bytes_per_row(lambda: normalize_scores(pool)) <= 9.0
+    assert peak_bytes_per_row(lambda: metrics._normalized(pool)) <= 9.0
     assert peak_bytes_per_row(lambda: evaluate_ranking(pool, ranking)) <= 12.5
 
 
