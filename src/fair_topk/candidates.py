@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -81,15 +80,6 @@ class _Columns:
         columns._freeze(ids, scores, protected)
         return columns
 
-    @classmethod
-    def from_candidates(cls, candidates: Iterable[tuple]):
-        rows = list(candidates)
-        return cls(
-            np.array([c[0] for c in rows], dtype=object),
-            np.array([c[1] for c in rows], dtype=np.float64),
-            np.array([c[2] for c in rows]),
-        )
-
     def with_scores(self, scores):
         """The same candidates with new scores.  Only the scores are checked:
         the result shares this container's read-only ids and flags."""
@@ -97,14 +87,6 @@ class _Columns:
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
-
-    @property
-    def protected_count(self) -> int:
-        return int(self.protected.sum())
-
-    @property
-    def protected_share(self) -> float:
-        return float(self.protected.mean()) if len(self) else 0.0
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,6 @@ class MTable:
         minima.setflags(write=False)
         inverse.setflags(write=False)
 
-    def requirement(self, position: int) -> int:
-        """Minimum protected count for the prefix of the given 1-based length."""
-        if not 1 <= position <= self.k:
-            raise ValueError(f"position {position} outside 1..{self.k}")
-        return int(self.minima[position - 1])
-
 
 @lru_cache(maxsize=256, typed=True)
 def compute_mtable(k: int, p: float, alpha_adj: float) -> MTable:
@@ -78,19 +72,14 @@ class FairnessVerdict:
     required: Optional[int] = None
     observed: Optional[int] = None
 
-    @property
-    def deficit(self) -> int:
-        if self.fair:
-            return 0
-        return int(self.required - self.observed)
-
 
 def verify_ranked_group_fairness(
     ranking: RankedSequence, p: float, alpha_adj: float
 ) -> FairnessVerdict:
     """Check every prefix of the ranking against the minimum-count table.
 
-    Reports the smallest violating prefix length and its deficit when unfair.
+    When unfair, reports the smallest violating prefix length with its
+    required and observed protected counts.
     One pass over the ranking (plus the cached table lookup).
     """
     k = len(ranking)

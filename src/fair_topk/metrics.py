@@ -176,25 +176,24 @@ def _ordering(ranking, rows, best) -> OrderingResult:
     return OrderingResult(value, drop, ranking.ids[worst].item())
 
 
-def ndcg(ranking: RankedSequence, pool: CandidatePool, k: Optional[int] = None) -> float:
+def ndcg(ranking: RankedSequence, pool: CandidatePool) -> float:
     """Discounted score sum over positions, against the color-blind ideal.
 
     Position i carries weight 1/log2(i+1); the denominator is the same
-    weighted sum over the color-blind top-k, so the ideal ranking scores 1.0.
-    Every score summed must be non-negative.
+    weighted sum over the color-blind top len(ranking), so the ideal ranking
+    scores 1.0.  Every score summed must be non-negative.
     """
-    if k is None and not len(ranking):
+    if not len(ranking):
         raise ValueError("ranking must be non-empty")
-    k = len(ranking) if k is None else k
-    return _ndcg(ranking.scores[:k], color_blind_topk(pool, k).scores)
+    return _ndcg(ranking.scores, color_blind_topk(pool, len(ranking)).scores)
 
 
 def _ndcg(scores: np.ndarray, ideal_scores: np.ndarray) -> float:
-    """ndcg of the given scores against the ideal's, k of them."""
+    """ndcg of the given scores against the ideal's, k of each."""
     if (scores < 0).any() or (ideal_scores < 0).any():
         raise ValueError("ndcg needs non-negative scores")
     weights = 1.0 / np.log2(np.arange(1, ideal_scores.shape[0] + 1) + 1.0)
-    attained = float(np.dot(weights[: scores.shape[0]], scores))
+    attained = float(np.dot(weights, scores))
     ideal = float(np.dot(weights, ideal_scores))
     if ideal == 0.0:
         return 1.0  # all-zero scores: every ranking is ideal

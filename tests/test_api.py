@@ -1,5 +1,6 @@
 """The package's public names: listed once, all importable, none stale."""
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -32,6 +33,9 @@ def test_the_calibration_gate_error_is_exported_once():
 REMOVED = ("BinomialParams", "BlockDecomposition", "decompose_blocks", "ExperimentReport",
            "Candidate", "fair_representation", "normalize_scores", "pmf", "pmf_vector",
            "ranked_utility", "save_candidates")
+# members deleted for the same reason, kept off every container, table and verdict
+REMOVED_MEMBERS = ("from_candidates", "protected_count", "protected_share", "requirement",
+                   "deficit")
 
 
 def test_removed_names_stay_removed():
@@ -44,9 +48,49 @@ def test_removed_names_stay_removed():
             assert name not in getattr(module, "__all__", ()), (module.__name__, name)
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(fair_topk.CandidatePool, "__iter__")  # rows are read as columns
+    for cls in (fair_topk.CandidatePool, fair_topk.RankedSequence, fair_topk.MTable,
+                fair_topk.FairnessVerdict):
+        for name in REMOVED_MEMBERS:
+            assert not hasattr(cls, name), (cls.__name__, name)
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+def test_ndcg_scores_a_ranking_against_a_pool_and_nothing_else():
+    assert list(inspect.signature(fair_topk.ndcg).parameters) == ["ranking", "pool"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_members(cls):
+    """(class, name) of each public method or property defined in the body of
+    the class or of a base inside the package; dataclass and NamedTuple
+    fields are not defined as methods, so they are left out."""
+    for base in cls.__mro__:
+        if not base.__module__.startswith("fair_topk"):
+            continue
+        for name, value in vars(base).items():
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            if not name.startswith("_") and (inspect.isfunction(value)
+                                             or isinstance(value, property)):
+                yield base.__name__, name
+
+
+def test_every_public_member_has_a_caller_outside_the_tests():
+    # a member only tests call buys nothing: give it a caller or delete it
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for folder in ("src", "scripts", "bench")
+                     for path in sorted((ROOT / folder).rglob("*.py")))
+    classes = [value for value in map(fair_topk.__dict__.get, fair_topk.__all__)
+               if inspect.isclass(value)]
+    members = {member for cls in classes for member in _public_members(cls)}
+    assert ("CandidatePool", "take") in members  # the walk finds what it should
+    uncalled = sorted(member for member in members
+                      if not re.search(rf"\.{member[1]}\b", code))
+    assert uncalled == []
+
+
+README = ROOT / "README.md"
 # a backticked call, then the submodule the text names for it, if any
 DOCUMENTED_CALL = re.compile(r"`([A-Za-z_][\w.]*)\([^`]*`(?: \(from `(fair_topk[\w.]*)`\))?")
 # call-shaped spans of the README that name no function: the table m(i), the

@@ -198,7 +198,7 @@ def test_repair_argsorts_its_ids_only_when_the_packed_key_cannot_hold_them(
     # ids are ranked by one argsort, and scores that share a key's prefix
     # are argsorted once more to number their runs
     pool = edge_pool(case, 1)
-    m = pool.protected_count
+    m = int(pool.protected.sum())
     calls = []
     original = np.argsort
 

@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from fair_topk import CandidatePool, RankedSequence
 
 
-def test_pool_from_candidates_roundtrip():
-    pool = CandidatePool.from_candidates([(3, 0.5, True), (1, 0.9, False), (2, 0.7, False)])
-    assert len(pool) == 3
-    assert pool.ids.tolist() == [3, 1, 2]
-    assert pool.scores.tolist() == [0.5, 0.9, 0.7]
-    assert pool.protected.tolist() == [True, False, False]
-    assert pool.ids.dtype == np.int64 and pool.protected.dtype == bool
+def test_pool_from_python_lists_roundtrip():
+    ids, scores, flags = [3, 1, 2], [0.5, 0.9, 0.7], [True, False, False]
+    # Python lists, and the object arrays a list of mixed values becomes
+    for columns in ((ids, scores, flags),
+                    tuple(np.array(col, dtype=object) for col in (ids, scores, flags))):
+        pool = CandidatePool(*columns)
+        assert len(pool) == 3
+        assert pool.ids.tolist() == [3, 1, 2]
+        assert pool.scores.tolist() == [0.5, 0.9, 0.7]
+        assert pool.protected.tolist() == [True, False, False]
+        assert pool.ids.dtype == np.int64 and pool.protected.dtype == bool
 
 
 def test_integer_ids_coerce_to_int64():
@@ -43,10 +47,10 @@ def test_float_ids_become_integers_only_when_exact():
     ):
         pool = CandidatePool(np.array(ids), np.array([0.1, 0.2]), np.array([0, 1]))
         assert list(pool.ids) == text
-    # Python floats passed through from_candidates follow the same rule
-    pool = CandidatePool.from_candidates([(1.5, 0.9, False), (2.5, 0.8, True)])
+    # Python floats in an object array follow the same rule
+    pool = CandidatePool(np.array([1.5, 2.5], dtype=object), [0.9, 0.8], [False, True])
     assert list(pool.ids) == ["1.5", "2.5"]
-    pool = CandidatePool.from_candidates([(1.0, 0.9, False), (2, 0.8, True)])
+    pool = CandidatePool(np.array([1.0, 2], dtype=object), [0.9, 0.8], [False, True])
     assert pool.ids.dtype == np.int64
     assert list(pool.ids) == [1, 2]
 
@@ -56,7 +60,7 @@ def test_protected_flags_are_booleans_or_zero_and_one(flags):
     with pytest.raises(ValueError, match="protected flags"):
         CandidatePool(np.array([1, 2]), np.array([0.1, 0.2]), flags)
     with pytest.raises(ValueError, match="protected flags"):
-        CandidatePool.from_candidates([(1, 0.1, flags[0]), (2, 0.2, flags[1])])
+        CandidatePool([1, 2], [0.1, 0.2], np.array(flags, dtype=object))
 
 
 @pytest.mark.parametrize("flags", [[False, True], [0, 1], [0.0, 1.0], np.array([0, 1], dtype=np.uint8)])
@@ -64,9 +68,8 @@ def test_accepted_protected_flags(flags):
     pool = CandidatePool(np.array([1, 2]), np.array([0.1, 0.2]), flags)
     assert pool.protected.dtype == bool
     assert list(pool.protected) == [False, True]
-    assert list(CandidatePool.from_candidates(zip([1, 2], [0.1, 0.2], flags)).protected) == [
-        False, True,
-    ]
+    objects = np.array(list(flags), dtype=object)
+    assert list(CandidatePool([1, 2], [0.1, 0.2], objects).protected) == [False, True]
 
 
 def test_validation_errors():
@@ -83,7 +86,7 @@ def test_validation_errors():
 
 
 def test_columns_are_read_only():
-    pool = CandidatePool.from_candidates([(1, 0.5, True)])
+    pool = CandidatePool([1], [0.5], [True])
     with pytest.raises(ValueError):
         pool.scores[0] = 0.9
     with pytest.raises(ValueError):
@@ -107,7 +110,7 @@ def test_columns_leave_the_callers_arrays_writable():
 
 
 def test_take_preserves_order():
-    pool = CandidatePool.from_candidates([(1, 0.9, False), (2, 0.8, True), (3, 0.7, False)])
+    pool = CandidatePool([1, 2, 3], [0.9, 0.8, 0.7], [False, True, False])
     ranking = pool.take([2, 0])
     assert isinstance(ranking, RankedSequence)
     assert list(ranking.ids) == [3, 1]
@@ -116,7 +119,7 @@ def test_take_preserves_order():
 
 @pytest.mark.parametrize("cls", [CandidatePool, RankedSequence])
 def test_with_scores_replaces_only_scores(cls):
-    columns = cls.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+    columns = cls([1, 2], [0.9, 0.8], [False, True])
     swapped = columns.with_scores([0.1, 0.2])
     assert list(swapped.scores) == [0.1, 0.2]
     assert list(swapped.ids) == [1, 2]
@@ -125,7 +128,7 @@ def test_with_scores_replaces_only_scores(cls):
 
 @pytest.mark.parametrize("cls", [CandidatePool, RankedSequence])
 def test_with_scores_checks_only_the_new_scores(cls, monkeypatch):
-    columns = cls.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+    columns = cls([1, 2], [0.9, 0.8], [False, True])
 
     def validate(self):
         raise AssertionError("ids and flags were checked again")
@@ -141,7 +144,7 @@ def test_with_scores_checks_only_the_new_scores(cls, monkeypatch):
 
 @pytest.mark.parametrize("cls", [CandidatePool, RankedSequence])
 def test_with_scores_shares_the_checked_columns(cls):
-    columns = cls.from_candidates([(1, 0.9, False), (2, 0.8, True)])
+    columns = cls([1, 2], [0.9, 0.8], [False, True])
     swapped = columns.with_scores(np.array([0.1, 0.2]))
     assert type(swapped) is cls
     assert swapped.ids is columns.ids
@@ -173,7 +176,5 @@ def test_from_flags_columns_equal_validated_constructor(flags):
 def test_prefix_counts_and_share():
     ranking = RankedSequence.from_flags([1, 0, 0, 1, 1])
     assert list(ranking.protected_prefix_counts()) == [1, 1, 1, 2, 3]
-    assert ranking.protected_count == 3
-    assert ranking.protected_share == pytest.approx(0.6)
-    empty = CandidatePool(np.array([], dtype=np.int64), np.array([]), np.array([], dtype=bool))
-    assert empty.protected_share == 0.0
+    assert int(ranking.protected.sum()) == 3
+    assert ranking.protected.mean() == pytest.approx(0.6)

@@ -215,13 +215,15 @@ def test_ndcg_two_element_swap():
 def test_ndcg_single_best_element_is_one():
     pool = CandidatePool([1, 2, 3], [0.2, 0.9, 0.4], [0, 1, 0])
     ranking = RankedSequence([2], [0.9], [1])
-    assert ndcg(ranking, pool, k=1) == pytest.approx(1.0)
+    assert ndcg(ranking, pool) == pytest.approx(1.0)
 
 
-def test_ndcg_defaults_k_to_ranking_length():
+def test_ndcg_ideal_is_the_top_of_the_rankings_length():
+    # against the whole pool's top 3 the top two would score below 1
     pool = CandidatePool([1, 2, 3], [0.9, 0.8, 0.7], [0, 1, 0])
     ranking = RankedSequence([1, 2], [0.9, 0.8], [0, 1])
-    assert ndcg(ranking, pool) == ndcg(ranking, pool, k=2)
+    assert ndcg(ranking, pool) == 1.0
+    assert ndcg(RankedSequence([2], [0.8], [1]), pool) == pytest.approx(0.8 / 0.9)
 
 
 def test_ndcg_refuses_negative_scores():
@@ -229,10 +231,10 @@ def test_ndcg_refuses_negative_scores():
     pool = CandidatePool([1, 2], [-1.0, -2.0], [0, 1])
     with pytest.raises(ValueError, match="ndcg needs non-negative scores"):
         ndcg(RankedSequence([2, 1], [-2.0, -1.0], [1, 0]), pool)
-    # the ranking's own scores are non-negative, the ideal's third is not
-    pool = CandidatePool([1, 2, 3], [1.0, 0.5, -1.0], [0, 1, 0])
+    # the ranking's own scores are non-negative, the ideal's second is not
+    pool = CandidatePool([1, 2], [1.0, -1.0], [0, 1])
     with pytest.raises(ValueError, match="ndcg needs non-negative scores"):
-        ndcg(RankedSequence([1, 2], [1.0, 0.5], [0, 1]), pool, k=3)
+        ndcg(RankedSequence([1, 3], [1.0, 0.5], [0, 1]), pool)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +483,7 @@ def assert_report_matches_the_full_argsort_lookup(pool, rng, source, share):
         ranking = fair_topk(pool, k, 0.5, 0.1).entries
     else:
         # the repaired pool's ranking, evaluated against the original pool
-        assume(0 < pool.protected_count < len(pool))
+        assume(0 < int(pool.protected.sum()) < len(pool))
         ranking = color_blind_topk(feldman_repair(pool).pool, k)
     assert report_bits(evaluate_ranking(pool, ranking)) == report_bits(
         parent_evaluate_ranking(pool, ranking)
